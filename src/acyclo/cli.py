@@ -39,6 +39,9 @@ SUBCOMMANDS = (
     "oracle",
 )
 
+# Subcommands whose enumeration --shard splits; every other one rejects it.
+SHARDED_SUBCOMMANDS = ("volume", "ehrhart", "lattice-points", "kalai-census", "vertices")
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
@@ -219,6 +222,12 @@ def _report_entry(r: oracle.OracleReport) -> dict:
 
 def run(cfg: RunConfig) -> int:
     """Execute one subcommand, print its report, and return the exit code."""
+    if cfg.budget is not None and cfg.budget < 0:
+        raise HypergraphParseError(f"--budget must be non-negative, got {cfg.budget}")
+    if cfg.shard is not None and cfg.subcommand not in SHARDED_SUBCOMMANDS:
+        raise HypergraphParseError(f"--shard is not supported by {cfg.subcommand}")
+    if cfg.shard is not None and cfg.oracle:
+        raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
     kw = _budget_kwargs(cfg)
     exit_code = EXIT_OK
     report: dict = {"command": cfg.subcommand}
@@ -386,10 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signs(argv: list[str]) -> list[str]:
+    """Rewrite `--signs S` as `--signs=S`, so that argparse does not take a
+    pattern starting with '-' for an option."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--signs" and i + 1 < len(argv):
+            out.append(f"--signs={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signs(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     cfg = RunConfig(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .complexes import (
@@ -128,8 +128,9 @@ def _support_rows(h: Hypergraph):
     return tuple(support), restricted
 
 
-def _feasible_for_signs(h: Hypergraph, assigned) -> Optional[tuple[Fraction, ...]]:
-    """Witness cochain for the partial sign assignment [(edge index, sign), ...].
+def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
+    """Values on the support rows of a cochain realizing the partial sign
+    assignment [(edge index, sign), ...], or None.
 
     Zero signs become exact equalities; nonzero signs become homogenized
     strict inequalities ">= 1". Unlisted edges are unconstrained.
@@ -142,13 +143,86 @@ def _feasible_for_signs(h: Hypergraph, assigned) -> Optional[tuple[Fraction, ...
             eqs.append((restricted[j], 0))
         else:
             ges.append((tuple(s * x for x in restricted[j]), 1))
-    sol = solve_feasibility(len(support), eqs, ges)
-    if sol is None:
-        return None
+    return solve_feasibility(len(support), eqs, ges)
+
+
+def _feasible_for_signs(h: Hypergraph, assigned) -> Optional[tuple[Fraction, ...]]:
+    """Witness cochain for the partial sign assignment [(edge index, sign), ...]."""
+    sol = _solve_on_support(h, assigned)
+    return None if sol is None else _embed(h, sol)
+
+
+def _embed(h: Hypergraph, values: Sequence) -> tuple[Fraction, ...]:
+    """Cochain on all (d-1)-subsets from its values on the support rows."""
+    support, _ = _support_rows(h)
     witness = [Fraction(0)] * comb(h.n, h.d)
-    for r, z in zip(support, sol):
-        witness[r] = z
+    for r, z in zip(support, values):
+        witness[r] = Fraction(z)
     return tuple(witness)
+
+
+def _primitive(values: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a rational vector (zeros
+    stay zeros)."""
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def _pair(column: Sequence[int], w: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(column, w))
+
+
+def _lp_witness(h: Hypergraph, signs: list[int]) -> Optional[tuple[int, ...]]:
+    """Primitive integer cochain on the support rows realizing the sign
+    prefix, found by one feasibility LP, or None."""
+    sol = _solve_on_support(h, enumerate(signs))
+    return None if sol is None else _primitive(sol)
+
+
+def _extensions(
+    h: Hypergraph, signs: list[int], w: tuple[int, ...], with_zero: bool
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The realizable one-edge extensions of the sign prefix `signs`, each
+    with a witness, in the order +, -, 0 (0 only if with_zero), given a
+    witness w of the prefix on the support rows. Makes one LP call.
+
+    The cochains realizing a prefix form a convex cone, so one LP decides
+    every sibling. Let v be w's pairing with the next edge.
+    - v != 0 with sign s: w realizes s, and one LP decides -s, giving w'.
+      0 is realizable exactly when -s is: |v'|.w + |v|.w' vanishes on the
+      edge and keeps every earlier sign and zero, and conversely u - eps.w
+      realizes -s whenever u realizes 0.
+    - v == 0: w realizes 0, and one LP decides +, giving w+. Then c.w - w+
+      realizes - once c.|<e, w>| > |<e, w+>| on every earlier nonzero edge
+      e, and symmetrically - is realizable only if + is.
+    """
+    _, restricted = _support_rows(h)
+    column = restricted[len(signs)]
+    v = _pair(column, w)
+    found: dict[int, tuple[int, ...]] = {}
+    if v:
+        s = 1 if v > 0 else -1
+        found[s] = w
+        other = _lp_witness(h, signs + [-s])
+        if other is not None:
+            found[-s] = other
+            if with_zero:
+                v_other = _pair(column, other)
+                found[0] = _primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
+    else:
+        if with_zero:
+            found[0] = w
+        plus = _lp_witness(h, signs + [1])
+        if plus is not None:
+            found[1] = plus
+            c = 1
+            for j, sj in enumerate(signs):
+                if sj:
+                    c = max(c, abs(_pair(restricted[j], plus)) // abs(_pair(restricted[j], w)) + 1)
+            found[-1] = _primitive([c * a - b for a, b in zip(w, plus)])
+    return [(s, found[s]) for s in (1, -1, 0) if s in found]
 
 
 def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[Fraction, ...]]:
@@ -175,8 +249,8 @@ def enumerate_vertices(
 ) -> Iterator[tuple[SignPattern, tuple[int, ...]]]:
     """All valid proper sign patterns with their lattice points, exactly once.
 
-    Depth-first search over +-1 edge assignments with exact feasibility
-    pruning at every partial assignment.
+    Depth-first search over +-1 edge assignments that carries a witness
+    cochain of each realizable prefix, so each node makes one LP call.
     """
     num_edges = len(h.edges)
     bound = 2 ** num_edges
@@ -184,19 +258,18 @@ def enumerate_vertices(
         raise BudgetExceededError(bound, budget, "vertex enumeration")
     signs: list[int] = []
 
-    def rec() -> Iterator[tuple[SignPattern, tuple[int, ...]]]:
+    def rec(w: tuple[int, ...]) -> Iterator[tuple[SignPattern, tuple[int, ...]]]:
         if len(signs) == num_edges:
             pattern = SignPattern(tuple(signs))
             yield pattern, vertex_point(h, pattern)
             return
-        for s in (1, -1):
+        for s, child in _extensions(h, signs, w, with_zero=False):
             signs.append(s)
-            if _feasible_for_signs(h, list(enumerate(signs))) is not None:
-                yield from rec()
+            yield from rec(child)
             signs.pop()
 
     if shard is None:
-        yield from rec()
+        yield from rec((0,) * len(_support_rows(h)[0]))
         return
 
     index, total = shard
@@ -207,8 +280,9 @@ def enumerate_vertices(
         signs.clear()
         for j in range(plen):
             signs.append(1 if mask >> j & 1 else -1)
-        if _feasible_for_signs(h, list(enumerate(signs))) is not None:
-            yield from rec()
+        w = _lp_witness(h, signs)
+        if w is not None:
+            yield from rec(w)
 
 
 def vertex_adjacency(h: Hypergraph, sigma1: SignPattern, sigma2: SignPattern) -> bool:
@@ -278,21 +352,17 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
     faces: list[FaceDescriptor] = []
     signs: list[int] = []
 
-    def rec(witness: tuple[Fraction, ...]) -> None:
+    def rec(w: tuple[int, ...]) -> None:
         if len(signs) == num_edges:
             pattern = SignPattern(tuple(signs))
-            faces.append(FaceDescriptor(pattern, _zero_set_dimension(h, signs), witness))
+            faces.append(FaceDescriptor(pattern, _zero_set_dimension(h, signs), _embed(h, w)))
             return
-        for s in (1, -1, 0):
+        for s, child in _extensions(h, signs, w, with_zero=True):
             signs.append(s)
-            w = _feasible_for_signs(h, list(enumerate(signs)))
-            if w is not None:
-                rec(w)
+            rec(child)
             signs.pop()
 
-    root = _feasible_for_signs(h, [])
-    if root is not None:
-        rec(root)
+    rec((0,) * len(_support_rows(h)[0]))
     return FaceLattice(h, faces)
 
 

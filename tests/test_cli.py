@@ -246,3 +246,55 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["volume"] == "3"
+
+
+def test_huge_budget_bound_exit_code(capsys):
+    # the bound comb(43758, 24310) has over 13000 digits
+    code = main(["volume", "--complete", "18", "9"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "at least 10^13052 candidates" in err
+
+
+def test_signs_with_leading_minus(capsys):
+    joined = run_cli(["tournament-check", "--complete", "4", "1", "--signs=-+++++"], capsys)
+    separate = run_cli(["tournament-check", "--complete", "4", "1", "--signs", "-+++++"], capsys)
+    assert separate == joined
+    code, out = separate
+    assert code == 0
+    report = json.loads(out)
+    assert report["signs"] == "-+++++"
+    assert report["acyclic"] is True
+
+
+def test_negative_budget_rejected(capsys):
+    code = main(["volume", "--complete", "4", "1", "--budget", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--budget" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["faces", "--complete", "4", "2"],
+        ["facets", "--complete", "4", "2"],
+        ["duality-check", "--complete", "5", "1"],
+        ["tournament-check", "--complete", "3", "1", "--signs", "+++"],
+    ],
+)
+def test_shard_rejected_where_ignored(args, capsys):
+    code = main(args + ["--shard", "0/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--shard" in captured.err
+    assert captured.out == ""
+
+
+def test_shard_with_oracle_rejected(capsys):
+    code = main(["volume", "--complete", "4", "1", "--shard", "0/2", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--oracle" in captured.err
+    assert captured.out == ""

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -418,3 +418,79 @@ def test_fm_and_simplex_agree():
                     assert sum(c * x for c, x in zip(coeffs, sol)) == rhs
                 for coeffs, rhs in ges:
                     assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
+
+
+def random_3_uniform(seed, n=6, edges=7):
+    rng = random.Random(seed)
+    return Hypergraph.from_edges(n, 2, rng.sample(list(combinations(range(1, n + 1), 3)), edges))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [complete_hypergraph(4, 2), complete_hypergraph(4, 1), random_3_uniform(7), random_3_uniform(11, edges=6)],
+    ids=["A(4,2)", "A(4,1)", "random-7-edges", "random-6-edges"],
+)
+def test_dfs_matches_bruteforce_validity(h):
+    m = len(h.edges)
+    valid = {
+        values
+        for values in product((1, -1, 0), repeat=m)
+        if validity_check(h, SignPattern(values)) is not None
+    }
+    lattice = face_lattice(h)
+    assert len(lattice) == len(valid)
+    assert {f.pattern.values for f in lattice} == valid
+    for face in lattice:
+        assert_witness_realizes(h, face.pattern, face.witness)
+    vertices = [p.values for p, _ in enumerate_vertices(h)]
+    assert len(vertices) == len(set(vertices))
+    assert set(vertices) == {v for v in valid if 0 not in v}
+
+
+class _CountingLP:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return solve_feasibility(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def a52_lattice_and_lp_calls():
+    counter = _CountingLP()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("acyclo.faces.solve_feasibility", counter)
+        lattice = face_lattice(complete_hypergraph(5, 2))
+    return lattice, counter.calls
+
+
+def test_a52_every_face_witness_realizes(a52_lattice_and_lp_calls):
+    lattice, _ = a52_lattice_and_lp_calls
+    h = complete_hypergraph(5, 2)
+    assert lattice.f_vector() == {0: 544, 1: 2040, 2: 2970, 3: 2060, 4: 660, 5: 74, 6: 1}
+    for face in lattice:
+        assert_witness_realizes(h, face.pattern, face.witness)
+
+
+def test_face_lattice_lp_ceiling(a52_lattice_and_lp_calls):
+    # one LP per internal search node; the old search ran one per child (30829)
+    _, calls = a52_lattice_and_lp_calls
+    assert calls <= 10277
+
+
+def test_vertex_lp_ceiling(monkeypatch):
+    counter = _CountingLP()
+    monkeypatch.setattr("acyclo.faces.solve_feasibility", counter)
+    assert len(list(enumerate_vertices(complete_hypergraph(6, 1)))) == 720
+    assert counter.calls <= 2899
+
+
+def test_a52_vertex_shards_union():
+    h = complete_hypergraph(5, 2)
+    full = [p.values for p, _ in enumerate_vertices(h)]
+    sharded = []
+    for i in range(4):
+        sharded.extend(p.values for p, _ in enumerate_vertices(h, shard=(i, 4)))
+    assert len(full) == 544
+    assert sorted(sharded) == sorted(full)
