@@ -6,7 +6,8 @@ Grammar:
                         [--shard I/M] [--oracle] [--signs S]
 
 Exit codes: 0 ok, 2 parse/usage error, 3 budget exceeded, 4 disagreement
-between the theorem path and an oracle (or a failed identity check).
+between the theorem path and an oracle (or a failed identity check). A reader
+that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +43,9 @@ SUBCOMMANDS = (
 
 # Subcommands whose enumeration --shard splits; every other one rejects it.
 SHARDED_SUBCOMMANDS = ("volume", "ehrhart", "lattice-points", "kalai-census", "vertices")
+
+# Subcommands whose report --oracle extends; every other one rejects it.
+ORACLE_SUBCOMMANDS = ("volume", "ehrhart", "lattice-points", "vertices")
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -134,7 +139,18 @@ def _flatten(value, prefix=""):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    report = _stringify(report)
+    try:
+        _write(_stringify(report), fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`). Point the descriptor at
+        # os.devnull so that the flush at shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2))
     elif fmt == "csv":
@@ -226,6 +242,10 @@ def run(cfg: RunConfig) -> int:
         raise HypergraphParseError(f"--budget must be non-negative, got {cfg.budget}")
     if cfg.shard is not None and cfg.subcommand not in SHARDED_SUBCOMMANDS:
         raise HypergraphParseError(f"--shard is not supported by {cfg.subcommand}")
+    if cfg.oracle and cfg.subcommand not in ORACLE_SUBCOMMANDS:
+        raise HypergraphParseError(f"--oracle is not supported by {cfg.subcommand}")
+    if cfg.signs is not None and cfg.subcommand != "tournament-check":
+        raise HypergraphParseError(f"--signs is not supported by {cfg.subcommand}")
     if cfg.shard is not None and cfg.oracle:
         raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
     kw = _budget_kwargs(cfg)
@@ -337,7 +357,7 @@ def run(cfg: RunConfig) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise HypergraphParseError(f"unknown subcommand {cfg.subcommand!r}")
 
-    if cfg.oracle and cfg.subcommand in ("volume", "ehrhart", "lattice-points", "vertices"):
+    if cfg.oracle and cfg.subcommand in ORACLE_SUBCOMMANDS:
         reports = _oracle_reports_for(cfg, h, cfg.subcommand)
         report["oracle_reports"] = [_report_entry(r) for r in reports]
         if any(not r.agreement for r in reports):

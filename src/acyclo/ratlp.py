@@ -4,8 +4,11 @@ Callers encode open conditions ("> 0") as ">= 1" rows; for the homogeneous
 systems built here that homogenization is sound and complete. Equalities are
 eliminated first by integer forward echelon with content normalization. The
 remaining inequality system is decided by Fourier-Motzkin elimination when it
-has few variables, and by a phase-one simplex with exact rational pivots
-(Bland's rule) above that. Both paths produce an exact witness on success.
+has few variables, and by a phase-one simplex (Bland's rule) above that. The
+simplex pivots on integers: its tableau is an integer matrix over one common
+denominator, every division in a pivot is exact, and the artificial columns,
+which never re-enter the basis, are not stored. Both paths produce an exact
+witness on success.
 """
 
 from __future__ import annotations
@@ -182,64 +185,78 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
 
     Variables are split x = u - w with u, w >= 0; each row gets a surplus and
     an artificial variable. Bland's rule guarantees termination; artificial
-    columns are never re-admitted once they leave the basis.
+    columns are never re-admitted once they leave the basis, so they are not
+    stored.
+
+    The tableau is kept as integers T with one common denominator D > 0, the
+    true tableau being T / D (Edmonds 1967; Avis's lrs). Pivoting on (r, s)
+    with p = T[r][s] leaves row r alone, maps every other row (the objective
+    too) to (p * T[i] - T[i][s] * T[r]) // D, and sets D = p. Each entry is
+    a minor of the integer input, so every division is exact.
     """
     m = len(rows)
-    ncols = 2 * k + 2 * m
-    tableau: list[list[Fraction]] = []
+    nonartificial = 2 * k + m
+    rhs_col = nonartificial
+    tableau: list[list[int]] = []
     for r_i, (coeffs, rhs) in enumerate(rows):
         sgn = 1 if rhs >= 0 else -1
-        row = [Fraction(0)] * (ncols + 1)
+        row = [0] * (nonartificial + 1)
         for j in range(k):
-            row[j] = Fraction(sgn * coeffs[j])
-            row[k + j] = Fraction(-sgn * coeffs[j])
-        row[2 * k + r_i] = Fraction(-sgn)
-        row[2 * k + m + r_i] = Fraction(1)
-        row[ncols] = Fraction(sgn * rhs)
+            row[j] = sgn * coeffs[j]
+            row[k + j] = -sgn * coeffs[j]
+        row[2 * k + r_i] = -sgn
+        row[rhs_col] = sgn * rhs
         tableau.append(row)
-    basis = [2 * k + m + i for i in range(m)]
-    z = [Fraction(0)] * (ncols + 1)
-    for row in tableau:
-        for j in range(ncols + 1):
-            z[j] += row[j]
-    for i in range(m):
-        z[2 * k + m + i] = Fraction(0)
+    basis = [nonartificial + i for i in range(m)]
+    z = [sum(col) for col in zip(*tableau)]
+    den = 1
 
-    nonartificial = 2 * k + m
     while True:
         enter = next((j for j in range(nonartificial) if z[j] > 0), None)
         if enter is None:
             break
+        # Bland's ratio test, min T[i][rhs] / T[i][enter] over positive
+        # entries, compared by cross-multiplying.
         leave = None
-        best = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                mine = tableau[i][rhs_col] * tableau[leave][enter]
+                best = tableau[leave][rhs_col] * a
+                if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None  # objective unbounded; cannot occur for phase one
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
         pivot_row = tableau[leave]
+        p = pivot_row[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], pivot_row)]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, pivot_row)]
+            if i != leave:
+                tableau[i] = _pivot_row(tableau[i], pivot_row, enter, p, den)
+        z = _pivot_row(z, pivot_row, enter, p, den)
+        den = p
         basis[leave] = enter
 
-    if z[ncols] != 0:
+    if z[rhs_col] != 0:
         return None
     x = [Fraction(0)] * k
     for i, b in enumerate(basis):
-        val = tableau[i][ncols]
+        val = Fraction(tableau[i][rhs_col], den)
         if b < k:
             x[b] += val
         elif b < 2 * k:
             x[b - k] -= val
     return x
+
+
+def _pivot_row(row: list[int], pivot_row: list[int], s: int, p: int, den: int) -> list[int]:
+    """One non-pivot row of an integer pivot on column s, pivot p, old
+    common denominator den."""
+    f = row[s]
+    if f:
+        return [(a * p - f * b) // den for a, b in zip(row, pivot_row)]
+    if p == den:
+        return row
+    return [a * p // den for a in row]

@@ -298,3 +298,62 @@ def test_shard_with_oracle_rejected(capsys):
     assert code == 2
     assert "--oracle" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["faces", "--complete", "4", "2"],
+        ["facets", "--complete", "4", "2"],
+        ["kalai-census", "--complete", "4", "2"],
+        ["duality-check", "--complete", "5", "1"],
+        ["tournament-check", "--complete", "3", "1", "--signs", "+++"],
+        ["oracle", "--complete", "4", "2"],
+    ],
+)
+def test_oracle_rejected_where_ignored(args, capsys):
+    code = main(args + ["--oracle"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--oracle" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["volume", "--complete", "3", "1"],
+        ["ehrhart", "--complete", "3", "1"],
+        ["lattice-points", "--complete", "3", "1"],
+        ["kalai-census", "--complete", "4", "2"],
+        ["duality-check", "--complete", "5", "1"],
+        ["vertices", "--complete", "3", "1"],
+        ["faces", "--complete", "3", "1"],
+        ["facets", "--complete", "3", "1"],
+        ["oracle", "--complete", "3", "1"],
+    ],
+)
+def test_signs_rejected_outside_tournament_check(args, capsys):
+    code = main(args + ["--signs", "+++"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--signs" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_reader_closing_stdout_keeps_exit_code(fmt):
+    # the report (over 100 kB) outgrows the pipe buffer, so the writer is
+    # still blocked when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acyclo.cli", "vertices", "--complete", "5", "2", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert first
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -24,6 +25,8 @@ from acyclo import (
     vertex_adjacency,
     vertex_point,
 )
+from acyclo import ratlp
+from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
 from acyclo.ratlp import solve_feasibility
@@ -399,6 +402,58 @@ def test_simplex_path_on_k72():
     assert validity_check(h7, SignPattern(tuple(values))) is None
 
 
+def _acyclic_signs(rng, h):
+    """Coboundary signs of a random integer cochain, redrawn until no edge
+    gets zero."""
+    while True:
+        gamma = [rng.randint(-1000, 1000) for _ in range(comb(h.n, h.d))]
+        values = coboundary_apply(h, gamma)
+        if all(values):
+            return signs_of(values)
+
+
+def _cyclic_signs(rng, h):
+    """Random signs overwritten with the signs of the boundary of a random
+    (d+1)-simplex. Its pairing with the coboundary of any cochain is 0, so
+    no cochain is positive against it."""
+    signs = [rng.choice((1, -1)) for _ in h.edges]
+    simplex = sorted(rng.sample(range(1, h.n + 1), h.d + 2))
+    orientation = rng.choice((1, -1))
+    for i in range(h.d + 2):
+        signs[h.edge_position(simplex[:i] + simplex[i + 1 :])] = orientation * (-1) ** i
+    return tuple(signs)
+
+
+@pytest.mark.parametrize("n, d", [(7, 2), (7, 3)], ids=["A(7,2)-rank-15", "A(7,3)-rank-20"])
+def test_tournament_check_above_fm_limit(n, d, capsys, monkeypatch):
+    # every LP here has more free variables than the Fourier-Motzkin limit
+    simplex_calls = []
+    simplex = ratlp._phase_one_simplex
+
+    def counted(k, rows):
+        simplex_calls.append(k)
+        return simplex(k, rows)
+
+    monkeypatch.setattr(ratlp, "_phase_one_simplex", counted)
+    h = complete_hypergraph(n, d)
+    rng = random.Random(n * 10 + d)
+    cases = []
+    for _ in range(4):
+        cases.append((_acyclic_signs(rng, h), True))
+        cases.append((_cyclic_signs(rng, h), False))
+    for signs, acyclic in cases:
+        text = "".join("+" if s > 0 else "-" for s in signs)
+        code = main(["tournament-check", "--complete", str(n), str(d), f"--signs={text}"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["acyclic"] is acyclic
+        witness = validity_check(h, SignPattern(signs))
+        assert (witness is not None) is acyclic
+        if acyclic:
+            assert_witness_realizes(h, SignPattern(signs), witness)
+    assert len(simplex_calls) == 16
+    assert min(simplex_calls) > ratlp.FM_VARIABLE_LIMIT
+
+
 def test_fm_and_simplex_agree():
     rng = random.Random(41)
     for _ in range(60):
@@ -418,6 +473,61 @@ def test_fm_and_simplex_agree():
                     assert sum(c * x for c, x in zip(coeffs, sol)) == rhs
                 for coeffs, rhs in ges:
                     assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
+
+
+def _random_system(rng):
+    """A system on 5-10 variables with at most 14 rows: equalities, zero and
+    negative right-hand sides, scaled copies of rows (ties in the ratio test)
+    and opposite copies (slabs, implicit equalities, empty systems). Half the
+    time a planted integer point, on which many rows are tight, makes the
+    system feasible with degenerate pivots."""
+    nv = rng.randint(5, 10)
+    point = [rng.randint(-2, 2) for _ in range(nv)] if rng.random() < 0.5 else None
+
+    def coefficients():
+        return [rng.choice((0, 0, 0, 0, 0, -1, 1, -2, 2, 3)) for _ in range(nv)]
+
+    def value(coeffs):
+        return sum(c * x for c, x in zip(coeffs, point))
+
+    eqs = []
+    for _ in range(rng.randint(0, 3)):
+        coeffs = coefficients()
+        eqs.append((coeffs, value(coeffs) if point else rng.randint(-2, 2)))
+    ges = []
+    for _ in range(rng.randint(3, 9)):
+        coeffs = coefficients()
+        rhs = value(coeffs) - rng.choice((0, 0, 1, 2)) if point else rng.randint(-3, 2)
+        ges.append((coeffs, rhs))
+    while len(eqs) + len(ges) < 14 and rng.random() < 0.6:
+        coeffs, rhs = rng.choice(ges)
+        c = rng.choice((1, 2, 3, -1))
+        if c > 0:
+            ges.append(([c * x for x in coeffs], c * rhs))
+        else:
+            top = value(coeffs) if point else rhs + rng.choice((-1, 0, 1))
+            ges.append(([-x for x in coeffs], -top))
+    return nv, eqs, ges, point is not None
+
+
+def test_fm_and_simplex_agree_on_larger_systems():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(150):
+        nv, eqs, ges, planted = _random_system(rng)
+        via_fm = solve_feasibility(nv, eqs, ges, fm_limit=12)
+        via_simplex = solve_feasibility(nv, eqs, ges, fm_limit=0)
+        assert (via_fm is None) == (via_simplex is None)
+        if planted:
+            assert via_simplex is not None
+        verdicts.add(via_simplex is None)
+        for sol in (via_fm, via_simplex):
+            if sol is not None:
+                for coeffs, rhs in eqs:
+                    assert sum(c * x for c, x in zip(coeffs, sol)) == rhs
+                for coeffs, rhs in ges:
+                    assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
+    assert verdicts == {True, False}
 
 
 def random_3_uniform(seed, n=6, edges=7):
