@@ -83,8 +83,18 @@ def merge_census_reports(reports) -> CensusReport:
     return merged
 
 
-def _shard_prefix_length(num_edges: int, total: int) -> int:
-    return min(num_edges, max(total - 1, 0).bit_length())
+def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
+    """Inclusion patterns of the first ceil(log2 m) edges (at most num_edges)
+    whose mask, edge j at bit j, is congruent to i mod m for shard (i, m).
+
+    A DFS over edges that starts below each of these prefixes visits its
+    shard's part of the search; the parts of shards 0..m-1 partition it.
+    """
+    index, total = shard
+    plen = min(num_edges, max(total - 1, 0).bit_length())
+    for mask in range(1 << plen):
+        if mask % total == index:
+            yield tuple(bool(mask >> j & 1) for j in range(plen))
 
 
 def _forest_nodes(
@@ -93,9 +103,9 @@ def _forest_nodes(
     """Yield (edge indices, last Bareiss pivot) for independent subsets.
 
     Preorder lexicographic DFS; with exact_size set, only subsets of that
-    size are yielded and subtrees that cannot reach it are cut. With a shard
-    (i, m), only subsets whose inclusion mask on the first ceil(log2 m) edges
-    is congruent to i mod m are visited, so shards partition the stream.
+    size are yielded and subtrees that cannot reach it are cut. With a shard,
+    only subsets that start with one of its `shard_prefixes` are visited, so
+    shards partition the stream.
     """
     num_edges = len(cols)
     ambient = len(cols[0]) if cols else 0
@@ -153,23 +163,10 @@ def _forest_nodes(
         yield from rec(0)
         return
 
-    index, total = shard
-    plen = _shard_prefix_length(num_edges, total)
-    for mask in range(1 << plen):
-        if mask % total != index:
-            continue
-        pushed = 0
-        ok = True
-        for j in range(plen):
-            if mask >> j & 1:
-                if push(j):
-                    pushed += 1
-                else:
-                    ok = False
-                    break
-        if ok:
-            yield from rec(plen)
-        for _ in range(pushed):
+    for prefix in shard_prefixes(num_edges, shard):
+        if all(push(j) for j, included in enumerate(prefix) if included):
+            yield from rec(len(prefix))
+        while chosen:
             pop()
 
 

@@ -1,9 +1,16 @@
 """Command-line front end.
 
-Grammar:
-    acyclo <subcommand> [--complete N D | --input PATH]
-                        [--format json|csv|human] [--budget B]
-                        [--shard I/M] [--oracle] [--signs S]
+Grammar, with SRC = (--complete N D | --input PATH) and F = json|csv|human:
+    acyclo volume|ehrhart|lattice-points|vertices SRC [--format F] [--budget B]
+           [--shard I/M | --oracle]
+    acyclo faces|facets|oracle SRC [--format F] [--budget B]
+    acyclo kalai-census --complete N D [--format F] [--budget B] [--shard I/M]
+    acyclo duality-check --complete N D [--format F] [--budget B]
+    acyclo tournament-check SRC --signs S [--format F]
+
+A subcommand's parser holds only the flags of its COMMANDS entry, so a flag
+it would ignore is a usage error. `--complete N D` needs 1 <= D <= N-1, and
+its comb(N, D+1) edges must fit the budget before the hypergraph is built.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 budget exceeded, 4 disagreement
 between the theorem path and an oracle (or a failed identity check). A reader
@@ -21,48 +28,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from . import census, faces, oracle
 from .complexes import Hypergraph, complete_hypergraph, cycle_space_dim
 from .errors import BudgetExceededError, HypergraphParseError
 from .faces import Hypertournament, SignPattern
 
-SUBCOMMANDS = (
-    "volume",
-    "ehrhart",
-    "lattice-points",
-    "kalai-census",
-    "duality-check",
-    "vertices",
-    "faces",
-    "facets",
-    "tournament-check",
-    "oracle",
-)
-
-# Subcommands whose enumeration --shard splits; every other one rejects it.
-SHARDED_SUBCOMMANDS = ("volume", "ehrhart", "lattice-points", "kalai-census", "vertices")
-
-# Subcommands whose report --oracle extends; every other one rejects it.
-ORACLE_SUBCOMMANDS = ("volume", "ehrhart", "lattice-points", "vertices")
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DISAGREEMENT = 4
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    complete: Optional[tuple[int, int]] = None
-    input_path: Optional[str] = None
-    fmt: str = "json"
-    budget: Optional[int] = None
-    shard: Optional[tuple[int, int]] = None
-    oracle: bool = False
-    signs: Optional[str] = None
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -165,205 +141,224 @@ def _write(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _load_input(cfg: RunConfig) -> tuple[Hypergraph, dict]:
-    if (cfg.complete is None) == (cfg.input_path is None):
-        raise HypergraphParseError("exactly one of --complete N D or --input PATH is required")
-    if cfg.complete is not None:
-        n, d = cfg.complete
-        if not 1 <= d <= n - 1:
-            raise HypergraphParseError(f"--complete: must satisfy 1 <= d <= n-1 (n={n}, d={d})")
+def _check_complete(n: int, d: int, budget: Optional[int]) -> None:
+    """Reject `--complete N D` before its hypergraph is built. Every budgeted
+    enumeration has at least as many candidates as edges."""
+    if not 1 <= d <= n - 1:
+        raise HypergraphParseError(f"--complete: must satisfy 1 <= d <= n-1 (n={n}, d={d})")
+    budget = census.DEFAULT_SUBSET_BUDGET if budget is None else budget
+    edges = comb(n, d + 1)
+    if edges > budget:
+        raise BudgetExceededError(edges, budget, f"edges of complete({n},{d})")
+
+
+def _load_input(args: argparse.Namespace) -> tuple[Hypergraph, dict]:
+    if args.complete is not None:
+        n, d = args.complete
         h = complete_hypergraph(n, d)
         source = f"complete({n},{d})"
     else:
         try:
-            with open(cfg.input_path, "r", encoding="utf-8") as fh:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise HypergraphParseError(f"cannot read {cfg.input_path}: {exc}") from exc
+            raise HypergraphParseError(f"cannot read {args.input}: {exc}") from exc
         h = parse_hypergraph(text)
-        source = cfg.input_path
+        source = args.input
     echo = {
         "source": source,
         "n": h.n,
         "d": h.d,
         "edge_count": len(h.edges),
     }
-    if cfg.input_path is not None:
+    if args.input is not None:
         echo["edges"] = [list(e) for e in h.edges]
     return h, echo
 
 
-def _budget_kwargs(cfg: RunConfig) -> dict:
-    return {"budget": cfg.budget} if cfg.budget is not None else {}
+def _budget_kwargs(args: argparse.Namespace) -> dict:
+    return {"budget": args.budget} if args.budget is not None else {}
 
 
-def _oracle_reports_for(cfg: RunConfig, h: Hypergraph, which: str) -> list[oracle.OracleReport]:
-    reports: list[oracle.OracleReport] = []
-    kw = _budget_kwargs(cfg)
-    if which in ("volume", "all") and h.d == 1:
-        reports.append(
-            oracle.OracleReport.compare(
-                "volume vs kirchhoff", census.volume(h, **kw), oracle.kirchhoff_tree_count(h)
-            )
-        )
-    if which in ("ehrhart", "volume", "all") and len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
-        reports.append(oracle.ehrhart_fit_check(h))
-    if which in ("lattice-points", "all") and len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
-        reports.append(
-            oracle.OracleReport.compare(
-                "lattice points at t=1",
-                census.lattice_point_count(h, **kw),
-                oracle.lattice_points_direct(h, 1),
-            )
-        )
-    if which in ("vertices", "all") and len(h.edges) <= oracle.DEFAULT_PATTERN_CAP:
+# Oracle checks: each compares one theorem-path value with an independent
+# oracle, and returns None where the oracle does not apply to h.
+
+
+def _kirchhoff_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+    if h.d == 1:
+        volume = census.volume(h, **_budget_kwargs(args))
+        return oracle.OracleReport.compare("volume vs kirchhoff", volume, oracle.kirchhoff_tree_count(h))
+
+
+def _ehrhart_fit_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+    return oracle.ehrhart_fit_check(h) if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP else None
+
+
+def _lattice_points_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+    if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
+        count = census.lattice_point_count(h, **_budget_kwargs(args))
+        return oracle.OracleReport.compare("lattice points at t=1", count, oracle.lattice_points_direct(h, 1))
+
+
+def _vertex_patterns_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+    if len(h.edges) <= oracle.DEFAULT_PATTERN_CAP:
         enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h)}
         brute = {p.as_string() for p in oracle.signpattern_bruteforce(h)}
-        reports.append(
-            oracle.OracleReport.compare(
-                "vertex pattern sets", sorted(enumerated), sorted(brute)
-            )
-        )
-    return reports
+        return oracle.OracleReport.compare("vertex pattern sets", sorted(enumerated), sorted(brute))
 
 
-def _report_entry(r: oracle.OracleReport) -> dict:
-    return {
-        "quantity": r.quantity,
-        "theorem": r.theorem_value,
-        "oracle": r.oracle_value,
-        "agreement": r.agreement,
-    }
+def _add_oracle_reports(args, h: Hypergraph, report: dict, checks=None) -> int:
+    """The handler of `acyclo oracle`, which runs every check in COMMANDS, and
+    the `--oracle` step of the subcommands with checks."""
+    checks = _ALL_CHECKS if checks is None else checks
+    reports = [r for r in (check(args, h) for check in checks) if r is not None]
+    report["oracle_reports"] = [
+        dict(quantity=r.quantity, theorem=r.theorem_value, oracle=r.oracle_value, agreement=r.agreement)
+        for r in reports
+    ]
+    return EXIT_OK if all(r.agreement for r in reports) else EXIT_DISAGREEMENT
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand, print its report, and return the exit code."""
-    if cfg.budget is not None and cfg.budget < 0:
-        raise HypergraphParseError(f"--budget must be non-negative, got {cfg.budget}")
-    if cfg.shard is not None and cfg.subcommand not in SHARDED_SUBCOMMANDS:
-        raise HypergraphParseError(f"--shard is not supported by {cfg.subcommand}")
-    if cfg.oracle and cfg.subcommand not in ORACLE_SUBCOMMANDS:
-        raise HypergraphParseError(f"--oracle is not supported by {cfg.subcommand}")
-    if cfg.signs is not None and cfg.subcommand != "tournament-check":
-        raise HypergraphParseError(f"--signs is not supported by {cfg.subcommand}")
-    if cfg.shard is not None and cfg.oracle:
-        raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
-    kw = _budget_kwargs(cfg)
-    exit_code = EXIT_OK
-    report: dict = {"command": cfg.subcommand}
+# Handlers: each fills its subcommand's report after "command" and "input"; h is
+# None where the subcommand takes no hypergraph. A handler that checks an
+# identity returns its exit code; the others return None, which is exit 0.
 
-    if cfg.subcommand in ("kalai-census", "duality-check"):
-        if cfg.complete is None:
-            raise HypergraphParseError(f"{cfg.subcommand} requires --complete N D")
-        n, d = cfg.complete
-        report["input"] = {"source": f"complete({n},{d})", "n": n, "d": d}
-        if cfg.subcommand == "kalai-census":
-            result = census.kalai_census(n, d, shard=cfg.shard, **kw)
-            expected = n ** comb(n - 2, d)
-            report["hypertree_count"] = result.hypertree_count
-            report["weighted_volume"] = result.weighted_volume
-            report["kalai_sum"] = result.kalai_sum
-            report["torsion_histogram"] = {str(k): v for k, v in result.torsion_histogram.items()}
-            if cfg.shard is not None:
-                report["shard"] = f"{cfg.shard[0]}/{cfg.shard[1]}"
-            else:
-                report["kalai_expected"] = expected
-                report["kalai_match"] = result.kalai_sum == expected
-                if not report["kalai_match"]:
-                    exit_code = EXIT_DISAGREEMENT
-        else:
-            if n < d + 3:
-                raise HypergraphParseError(f"duality-check requires n >= d+3 (n={n}, d={d})")
-            v1, v2 = census.duality_volume_check(n, d, **kw)
-            dual_d = n - d - 2
-            report["pair"] = [[n, d], [n, dual_d]]
-            report["ambient_dimensions"] = [cycle_space_dim(n, d), cycle_space_dim(n, dual_d)]
-            report["volumes"] = [v1, v2]
-            report["equal"] = v1 == v2
-            if not report["equal"]:
-                exit_code = EXIT_DISAGREEMENT
-        _emit(report, cfg.fmt)
-        return exit_code
 
-    h, echo = _load_input(cfg)
-    report["input"] = echo
+def _volume(args, h, report) -> None:
+    report["ambient_dimension"] = cycle_space_dim(h.n, h.d)
+    report["volume"] = census.volume(h, shard=args.shard, **_budget_kwargs(args))
 
-    if cfg.subcommand == "volume":
-        report["ambient_dimension"] = cycle_space_dim(h.n, h.d)
-        report["volume"] = census.volume(h, shard=cfg.shard, **kw)
-    elif cfg.subcommand == "ehrhart":
-        poly = census.ehrhart(h, shard=cfg.shard, **kw)
-        report["ehrhart"] = {
-            "coefficients": list(poly.coefficients),
-            "degree": poly.degree,
+
+def _ehrhart(args, h, report) -> None:
+    poly = census.ehrhart(h, shard=args.shard, **_budget_kwargs(args))
+    report["ehrhart"] = {"coefficients": list(poly.coefficients), "degree": poly.degree}
+
+
+def _lattice_points(args, h, report) -> None:
+    report["lattice_points"] = census.lattice_point_count(h, shard=args.shard, **_budget_kwargs(args))
+
+
+def _kalai_census(args, h, report) -> int:
+    n, d = args.complete
+    result = census.kalai_census(n, d, shard=args.shard, **_budget_kwargs(args))
+    report["hypertree_count"] = result.hypertree_count
+    report["weighted_volume"] = result.weighted_volume
+    report["kalai_sum"] = result.kalai_sum
+    report["torsion_histogram"] = {str(k): v for k, v in result.torsion_histogram.items()}
+    if args.shard is not None:
+        report["shard"] = f"{args.shard[0]}/{args.shard[1]}"
+        return EXIT_OK
+    expected = n ** comb(n - 2, d)
+    report["kalai_expected"] = expected
+    report["kalai_match"] = result.kalai_sum == expected
+    return EXIT_OK if report["kalai_match"] else EXIT_DISAGREEMENT
+
+
+def _duality_check(args, h, report) -> int:
+    n, d = args.complete
+    if n < d + 3:
+        raise HypergraphParseError(f"duality-check requires n >= d+3 (n={n}, d={d})")
+    v1, v2 = census.duality_volume_check(n, d, **_budget_kwargs(args))
+    dual_d = n - d - 2
+    report["pair"] = [[n, d], [n, dual_d]]
+    report["ambient_dimensions"] = [cycle_space_dim(n, d), cycle_space_dim(n, dual_d)]
+    report["volumes"] = [v1, v2]
+    report["equal"] = v1 == v2
+    return EXIT_OK if report["equal"] else EXIT_DISAGREEMENT
+
+
+def _vertices(args, h, report) -> None:
+    verts = list(faces.enumerate_vertices(h, shard=args.shard, **_budget_kwargs(args)))
+    report["count"] = len(verts)
+    report["vertices"] = [{"pattern": p.as_string(), "point": list(point)} for p, point in verts]
+
+
+def _faces(args, h, report) -> None:
+    lattice = faces.face_lattice(h, **_budget_kwargs(args))
+    report["f_vector"] = {str(k): v for k, v in lattice.f_vector().items()}
+    report["faces"] = [
+        {"dimension": f.dimension, "pattern": f.pattern.as_string(), "witness": list(f.witness)}
+        for f in lattice
+    ]
+
+
+def _facets(args, h, report) -> None:
+    lattice = faces.face_lattice(h, **_budget_kwargs(args))
+    complete = h == complete_hypergraph(h.n, h.d)
+    partition_set = _partition_facet_patterns(h) if complete else None
+    entries = [
+        {
+            "dimension": f.dimension,
+            "pattern": f.pattern.as_string(),
+            "vertex_count": len(lattice.vertices_of(f)),
+            "partition_induced": f.pattern.values in partition_set if partition_set is not None else None,
         }
-    elif cfg.subcommand == "lattice-points":
-        report["lattice_points"] = census.lattice_point_count(h, shard=cfg.shard, **kw)
-    elif cfg.subcommand == "vertices":
-        verts = list(faces.enumerate_vertices(h, shard=cfg.shard, **kw))
-        report["count"] = len(verts)
-        report["vertices"] = [
-            {"pattern": p.as_string(), "point": list(point)} for p, point in verts
-        ]
-    elif cfg.subcommand == "faces":
-        lattice = faces.face_lattice(h, **kw)
-        report["f_vector"] = {str(k): v for k, v in lattice.f_vector().items()}
-        report["faces"] = [
-            {
-                "dimension": f.dimension,
-                "pattern": f.pattern.as_string(),
-                "witness": list(f.witness),
-            }
-            for f in lattice
-        ]
-    elif cfg.subcommand == "facets":
-        lattice = faces.face_lattice(h, **kw)
-        complete = h == complete_hypergraph(h.n, h.d)
-        partition_set = _partition_facet_patterns(h) if complete else None
-        entries = []
-        for f in lattice.facets():
-            entry = {
-                "dimension": f.dimension,
-                "pattern": f.pattern.as_string(),
-                "vertex_count": len(lattice.vertices_of(f)),
-                "partition_induced": (
-                    f.pattern.values in partition_set if partition_set is not None else None
-                ),
-            }
-            entries.append(entry)
-        report["count"] = len(entries)
-        report["facets"] = entries
-    elif cfg.subcommand == "tournament-check":
-        if cfg.signs is None:
-            raise HypergraphParseError("tournament-check requires --signs")
-        if h != complete_hypergraph(h.n, h.d):
-            raise HypergraphParseError("tournament-check requires a complete hypergraph")
-        try:
-            pattern = SignPattern.from_string(cfg.signs)
-        except ValueError as exc:
-            raise HypergraphParseError(f"--signs: {exc}") from exc
-        if len(pattern.values) != len(h.edges) or not pattern.is_proper:
-            raise HypergraphParseError(
-                f"--signs: expected {len(h.edges)} characters from '+-'"
-            )
-        t = Hypertournament(h.n, h.d, pattern.values)
-        report["signs"] = cfg.signs
-        report["acyclic"] = faces.is_acyclic_hypertournament(t)
-    elif cfg.subcommand == "oracle":
-        reports = _oracle_reports_for(cfg, h, "all")
-        report["oracle_reports"] = [_report_entry(r) for r in reports]
-        if any(not r.agreement for r in reports):
-            exit_code = EXIT_DISAGREEMENT
-    else:  # pragma: no cover - argparse restricts choices
-        raise HypergraphParseError(f"unknown subcommand {cfg.subcommand!r}")
+        for f in lattice.facets()
+    ]
+    report["count"] = len(entries)
+    report["facets"] = entries
 
-    if cfg.oracle and cfg.subcommand in ORACLE_SUBCOMMANDS:
-        reports = _oracle_reports_for(cfg, h, cfg.subcommand)
-        report["oracle_reports"] = [_report_entry(r) for r in reports]
-        if any(not r.agreement for r in reports):
-            exit_code = EXIT_DISAGREEMENT
 
-    _emit(report, cfg.fmt)
+def _tournament_check(args, h, report) -> None:
+    if h != complete_hypergraph(h.n, h.d):
+        raise HypergraphParseError("tournament-check requires a complete hypergraph")
+    try:
+        pattern = SignPattern.from_string(args.signs)
+    except ValueError as exc:
+        raise HypergraphParseError(f"--signs: {exc}") from exc
+    if len(pattern.values) != len(h.edges) or not pattern.is_proper:
+        raise HypergraphParseError(f"--signs: expected {len(h.edges)} characters from '+-'")
+    report["signs"] = args.signs
+    report["acyclic"] = faces.is_acyclic_hypertournament(Hypertournament(h.n, h.d, pattern.values))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: the flags its parser accepts, the handler that fills
+    its report, and the oracle checks that `--oracle` appends."""
+
+    flags: tuple[str, ...]
+    handler: Callable[[argparse.Namespace, Optional[Hypergraph], dict], Optional[int]]
+    checks: tuple[Callable[[argparse.Namespace, Hypergraph], Optional[oracle.OracleReport]], ...] = ()
+
+
+_BUDGETED = ("--complete", "--input", "--format", "--budget")
+COMMANDS = {
+    "volume": Command(_BUDGETED + ("--shard", "--oracle"), _volume, (_kirchhoff_check, _ehrhart_fit_check)),
+    "ehrhart": Command(_BUDGETED + ("--shard", "--oracle"), _ehrhart, (_ehrhart_fit_check,)),
+    "lattice-points": Command(_BUDGETED + ("--shard", "--oracle"), _lattice_points, (_lattice_points_check,)),
+    "kalai-census": Command(("--complete", "--format", "--budget", "--shard"), _kalai_census),
+    "duality-check": Command(("--complete", "--format", "--budget"), _duality_check),
+    "vertices": Command(_BUDGETED + ("--shard", "--oracle"), _vertices, (_vertex_patterns_check,)),
+    "faces": Command(_BUDGETED, _faces),
+    "facets": Command(_BUDGETED, _facets),
+    "tournament-check": Command(("--complete", "--input", "--format", "--signs"), _tournament_check),
+    "oracle": Command(_BUDGETED, _add_oracle_reports),
+}
+
+# `acyclo oracle` runs every entry's checks, each once, in table order.
+_ALL_CHECKS = tuple(dict.fromkeys(check for command in COMMANDS.values() for check in command.checks))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed subcommand, print its report, and return the exit code."""
+    if args.budget is not None and args.budget < 0:
+        raise HypergraphParseError(f"--budget must be non-negative, got {args.budget}")
+    if args.shard is not None and args.oracle:
+        raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
+    if args.complete is not None:
+        _check_complete(*args.complete, args.budget)
+    command = COMMANDS[args.subcommand]
+    report: dict = {"command": args.subcommand}
+    if "--input" in command.flags:
+        h, report["input"] = _load_input(args)
+    else:  # the subcommand works from --complete N D alone
+        n, d = args.complete
+        h, report["input"] = None, {"source": f"complete({n},{d})", "n": n, "d": d}
+    exit_code = command.handler(args, h, report) or EXIT_OK
+    if args.oracle:
+        exit_code = max(exit_code, _add_oracle_reports(args, h, report, command.checks))
+    _emit(report, args.format)
     return exit_code
 
 
@@ -397,21 +392,31 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return index, total
 
 
+_FLAG_OPTIONS = {
+    "--complete": {"nargs": 2, "type": int, "metavar": ("N", "D")},
+    "--input": {"metavar": "PATH"},
+    "--format": {"choices": ("json", "csv", "human"), "default": "json"},
+    "--budget": {"type": int},
+    "--shard": {"type": _parse_shard, "metavar": "I/M"},
+    "--oracle": {"action": "store_true"},
+    "--signs": {"metavar": "S", "required": True},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acyclo",
         description="Exact volumes, Ehrhart polynomials and face lattices of hypergraphic zonotopes.",
     )
+    # the value `run` reads for a flag that the subcommand does not accept
+    parser.set_defaults(complete=None, input=None, budget=None, shard=None, oracle=False, signs=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--complete", nargs=2, type=int, metavar=("N", "D"))
-        p.add_argument("--input", metavar="PATH")
-        p.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        p.add_argument("--budget", type=int)
-        p.add_argument("--shard", type=_parse_shard, metavar="I/M")
-        p.add_argument("--oracle", action="store_true")
-        p.add_argument("--signs", metavar="S")
+        source = p.add_mutually_exclusive_group(required=True)
+        for flag in command.flags:
+            target = source if flag in ("--complete", "--input") else p
+            target.add_argument(flag, **_FLAG_OPTIONS[flag])
     return parser
 
 
@@ -431,30 +436,16 @@ def _join_signs(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_signs(sys.argv[1:] if argv is None else list(argv)))
+        args = build_parser().parse_args(_join_signs(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        complete=tuple(args.complete) if args.complete else None,
-        input_path=args.input,
-        fmt=args.format,
-        budget=args.budget,
-        shard=args.shard,
-        oracle=args.oracle,
-        signs=args.signs,
-    )
     try:
-        return run(cfg)
-    except HypergraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except ValueError as exc:  # HypergraphParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

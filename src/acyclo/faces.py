@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
+from .census import Shard, shard_prefixes
 from .complexes import (
     Hypergraph,
     complete_hypergraph,
@@ -27,8 +28,6 @@ from .exactalg import IntMatrix, rank
 from .ratlp import solve_feasibility
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
-
-Shard = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -272,14 +271,8 @@ def enumerate_vertices(
         yield from rec((0,) * len(_support_rows(h)[0]))
         return
 
-    index, total = shard
-    plen = min(num_edges, max(total - 1, 0).bit_length())
-    for mask in range(1 << plen):
-        if mask % total != index:
-            continue
-        signs.clear()
-        for j in range(plen):
-            signs.append(1 if mask >> j & 1 else -1)
+    for prefix in shard_prefixes(num_edges, shard):
+        signs[:] = [1 if included else -1 for included in prefix]
         w = _lp_witness(h, signs)
         if w is not None:
             yield from rec(w)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -23,6 +23,7 @@ from acyclo import (
     torsion_order,
     volume,
 )
+from acyclo.census import shard_prefixes
 from conftest import random_connected_graph
 
 
@@ -226,3 +227,12 @@ def test_shard_partition_of_forests(k34):
             sel.chosen_edges for sel in enumerate_spanning_hyperforests(k34, shard=(i, 3))
         )
     assert sorted(sharded) == sorted(all_forests)
+
+
+@pytest.mark.parametrize("num_edges, total", [(4, 1), (4, 3), (4, 8), (2, 8), (6, 5)])
+def test_shard_prefixes_partition_the_prefixes(num_edges, total):
+    shards = [list(shard_prefixes(num_edges, (i, total))) for i in range(total)]
+    plen = min(num_edges, (total - 1).bit_length())
+    merged = sorted(p for shard in shards for p in shard)
+    assert merged == sorted(product((False, True), repeat=plen))
+    assert all(len(set(shard)) == len(shard) for shard in shards)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -357,3 +358,46 @@ def test_reader_closing_stdout_keeps_exit_code(fmt):
     assert first
     assert b"Traceback" not in err
     assert b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["tournament-check", "--complete", "3", "1", "--signs", "+++", "--budget", "5"], "--budget"),
+        (["kalai-census", "--complete", "4", "2", "--input", str(TESTDATA / "k34.json")], "--input"),
+        (["duality-check", "--complete", "5", "1", "--input", str(TESTDATA / "k34.json")], "--input"),
+    ],
+)
+def test_flag_rejected_where_ignored(args, flag, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["volume", "kalai-census", "duality-check"])
+def test_oversized_complete_fails_fast(command, capsys):
+    # comb(30, 16) = 145422675 edges; building them would take tens of GB
+    start = time.perf_counter()
+    code = main([command, "--complete", "30", "15"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "145422675" in captured.err
+    assert elapsed < 0.5
+
+
+def test_oversized_complete_uses_given_budget(capsys):
+    # comb(6, 3) = 20 edges
+    assert main(["faces", "--complete", "6", "2", "--budget", "19"]) == 3
+    assert "edges of complete(6,2)" in capsys.readouterr().err
+
+
+def test_complete_dimension_out_of_range(capsys):
+    code = main(["kalai-census", "--complete", "3", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "1 <= d <= n-1" in captured.err
+    assert captured.out == ""
