@@ -1,11 +1,12 @@
 """Spanning hyperforest/hypertree enumeration and derived zonotope statistics.
 
-The enumerator walks edge subsets in lexicographic depth-first order,
-maintaining a fraction-free (Bareiss) elimination state that is extended on
-inclusion and popped on backtrack, so dependent columns prune whole subtrees.
-The last pivot of a full reduction equals (up to sign) the determinant of the
-pivot submatrix of the chosen columns; when it is +-1 the column lattice is
-saturated and the torsion order is 1 without a Smith-form call.
+The enumerator walks edge subsets in lexicographic depth-first order. It
+keeps the chosen boundary columns in an `exactalg.Echelon`, a fraction-free
+(Bareiss) elimination that is pushed on inclusion and popped on backtrack, so
+dependent columns prune whole subtrees. The last pivot of a full reduction
+equals (up to sign) the determinant of the pivot submatrix of the chosen
+columns; when it is +-1 the column lattice is saturated and the torsion order
+is 1 without a Smith-form call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import _invariant_factors
+from .exactalg import Echelon, _invariant_factors
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -108,48 +109,23 @@ def _forest_nodes(
     shards partition the stream.
     """
     num_edges = len(cols)
-    ambient = len(cols[0]) if cols else 0
-    pivrows: list[list[int]] = []
-    pivpos: list[int] = []
-    pivval: list[int] = []
+    ech = Echelon()
     chosen: list[int] = []
 
-    def try_reduce(vec) -> Optional[list[int]]:
-        v = list(vec)
-        prev = 1
-        for idx in range(len(pivrows)):
-            w = pivrows[idx]
-            pp = pivpos[idx]
-            pv = pivval[idx]
-            coef = v[pp]
-            if coef:
-                v = [(pv * v[r] - coef * w[r]) // prev for r in range(ambient)]
-            elif pv != prev:
-                v = [(pv * v[r]) // prev for r in range(ambient)]
-            prev = pv
-        return v if any(v) else None
-
     def push(j: int) -> bool:
-        reduced = try_reduce(cols[j])
-        if reduced is None:
+        if not ech.push(cols[j]):
             return False
-        pos = next(r for r in range(ambient) if reduced[r])
-        pivrows.append(reduced)
-        pivpos.append(pos)
-        pivval.append(reduced[pos])
         chosen.append(j)
         return True
 
     def pop() -> None:
-        pivrows.pop()
-        pivpos.pop()
-        pivval.pop()
+        ech.pop()
         chosen.pop()
 
     def rec(start: int) -> Iterator[tuple[tuple[int, ...], int]]:
         size = len(chosen)
         if exact_size is None or size == exact_size:
-            yield tuple(chosen), (pivval[-1] if pivval else 1)
+            yield tuple(chosen), ech.last_pivot
             if exact_size is not None:
                 return
         for j in range(start, num_edges):

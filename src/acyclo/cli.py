@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from . import census, faces, oracle
 from .complexes import Hypergraph, complete_hypergraph, cycle_space_dim
-from .errors import BudgetExceededError, HypergraphParseError
+from .errors import _EXACT_DIGITS, BudgetExceededError, HypergraphParseError
 from .faces import Hypertournament, SignPattern
 
 EXIT_OK = 0
@@ -143,11 +143,20 @@ def _write(report: dict, fmt: str) -> None:
 
 def _check_complete(n: int, d: int, budget: Optional[int]) -> None:
     """Reject `--complete N D` before its hypergraph is built. Every budgeted
-    enumeration has at least as many candidates as edges."""
+    enumeration has at least as many candidates as edges, comb(N, D+1)."""
     if not 1 <= d <= n - 1:
         raise HypergraphParseError(f"--complete: must satisfy 1 <= d <= n-1 (n={n}, d={d})")
     budget = census.DEFAULT_SUBSET_BUDGET if budget is None else budget
-    edges = comb(n, d + 1)
+    # comb(N, k) multiplied up through comb(N-k+i, i), a rising lower bound,
+    # which stops once it is past the budget and too long to print exactly:
+    # the error then says "at least 10^e", which holds of the bound too.
+    k = min(d + 1, n - d - 1)
+    inexact = 10**_EXACT_DIGITS
+    edges = 1
+    for i in range(1, k + 1):
+        edges = edges * (n - k + i) // i
+        if edges > budget and edges >= inexact:
+            break
     if edges > budget:
         raise BudgetExceededError(edges, budget, f"edges of complete({n},{d})")
 
@@ -181,28 +190,35 @@ def _budget_kwargs(args: argparse.Namespace) -> dict:
 
 
 # Oracle checks: each compares one theorem-path value with an independent
-# oracle, and returns None where the oracle does not apply to h.
+# oracle, and returns None where the oracle does not apply to h. A check reads
+# the theorem-path value from the report when its handler has put it there.
 
 
-def _kirchhoff_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+def _kirchhoff_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     if h.d == 1:
-        volume = census.volume(h, **_budget_kwargs(args))
+        volume = report["volume"] if "volume" in report else census.volume(h, **_budget_kwargs(args))
         return oracle.OracleReport.compare("volume vs kirchhoff", volume, oracle.kirchhoff_tree_count(h))
 
 
-def _ehrhart_fit_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+def _ehrhart_fit_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     return oracle.ehrhart_fit_check(h) if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP else None
 
 
-def _lattice_points_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+def _lattice_points_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
-        count = census.lattice_point_count(h, **_budget_kwargs(args))
+        if "lattice_points" in report:
+            count = report["lattice_points"]
+        else:
+            count = census.lattice_point_count(h, **_budget_kwargs(args))
         return oracle.OracleReport.compare("lattice points at t=1", count, oracle.lattice_points_direct(h, 1))
 
 
-def _vertex_patterns_check(args, h: Hypergraph) -> Optional[oracle.OracleReport]:
+def _vertex_patterns_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     if len(h.edges) <= oracle.DEFAULT_PATTERN_CAP:
-        enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h)}
+        if "vertices" in report:
+            enumerated = {v["pattern"] for v in report["vertices"]}
+        else:
+            enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h)}
         brute = {p.as_string() for p in oracle.signpattern_bruteforce(h)}
         return oracle.OracleReport.compare("vertex pattern sets", sorted(enumerated), sorted(brute))
 
@@ -211,7 +227,7 @@ def _add_oracle_reports(args, h: Hypergraph, report: dict, checks=None) -> int:
     """The handler of `acyclo oracle`, which runs every check in COMMANDS, and
     the `--oracle` step of the subcommands with checks."""
     checks = _ALL_CHECKS if checks is None else checks
-    reports = [r for r in (check(args, h) for check in checks) if r is not None]
+    reports = [r for r in (check(args, h, report) for check in checks) if r is not None]
     report["oracle_reports"] = [
         dict(quantity=r.quantity, theorem=r.theorem_value, oracle=r.oracle_value, agreement=r.agreement)
         for r in reports
@@ -319,7 +335,7 @@ class Command:
 
     flags: tuple[str, ...]
     handler: Callable[[argparse.Namespace, Optional[Hypergraph], dict], Optional[int]]
-    checks: tuple[Callable[[argparse.Namespace, Hypergraph], Optional[oracle.OracleReport]], ...] = ()
+    checks: tuple[Callable[[argparse.Namespace, Hypergraph, dict], Optional[oracle.OracleReport]], ...] = ()
 
 
 _BUDGETED = ("--complete", "--input", "--format", "--budget")

@@ -1,7 +1,12 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular witnesses, fraction-free rank, primitive
-integer kernels and lattice saturation indices. Everything runs on Python's
+Smith normal form with unimodular witnesses, lattice saturation indices, and
+one incremental fraction-free (Bareiss) elimination kernel, `Echelon`, on
+which rank, primitive integer kernels, the hyperforest DFS of `census`, the
+support rows of `faces` and the equalities of `ratlp` all run.
+`IntMatrix.determinant` keeps its own Bareiss loop, because the oracle that
+checks the census (the Kirchhoff tree count) is built on it and should not
+share code with the path it checks. Everything runs on Python's
 arbitrary-precision integers; no floating point is used anywhere.
 """
 
@@ -275,75 +280,114 @@ def _invariant_factors(m: list[list[int]], rows: int, cols: int) -> list[int]:
     return [m[i][i] for i in range(min(rows, cols))]
 
 
+class Echelon:
+    """Incremental fraction-free (Bareiss) row echelon form over the integers.
+
+    `push` reduces a vector against the stored rows and keeps it if anything
+    is left; `pop` undoes the last accepted push. Stored row k is zero on the
+    pivot positions of rows 0..k-1, and its pivot is its first nonzero entry.
+    Its entries are (k+1)-minors of the accepted vectors, so every division
+    is exact, and its pivot value is, up to sign, the determinant of the
+    accepted vectors restricted to the pivot positions. `reduce(v)` is the
+    last pivot times v's rational remainder modulo the rows.
+    """
+
+    __slots__ = ("rows", "pivots", "values")
+
+    def __init__(self) -> None:
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.values: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def last_pivot(self) -> int:
+        return self.values[-1] if self.values else 1
+
+    def reduce(self, vec: Sequence[int]) -> list[int]:
+        v = list(vec)
+        prev = 1
+        for w, pp, pv in zip(self.rows, self.pivots, self.values):
+            coef = v[pp]
+            if coef:
+                v = [(pv * a - coef * b) // prev for a, b in zip(v, w)]
+            elif pv != prev:
+                v = [pv * a // prev for a in v]
+            prev = pv
+        return v
+
+    def push(self, vec: Sequence[int]) -> bool:
+        """Store vec reduced, unless it lies in the span of the rows."""
+        v = self.reduce(vec)
+        for pos, x in enumerate(v):
+            if x:
+                self.rows.append(v)
+                self.pivots.append(pos)
+                self.values.append(x)
+                return True
+        return False
+
+    def pop(self) -> None:
+        self.rows.pop()
+        self.pivots.pop()
+        self.values.pop()
+
+    def solve(self, x: list) -> list:
+        """Overwrite x's pivot positions, in place, so that every row pairs to
+        zero with x; the other positions are read as given."""
+        # Row k is zero on the pivots of rows 0..k-1, so solving in reverse
+        # meets only positions already set besides its own pivot.
+        for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
+            x[pc] = 0
+            x[pc] = Fraction(-sum(a * b for a, b in zip(row, x) if a), row[pc])
+        return x
+
+
+def primitive(values: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a vector of ints or
+    Fractions: sign kept, zeros stay zeros."""
+    try:
+        g = gcd(*values)
+    except TypeError:  # Fractions: clear the denominators first
+        scale = lcm(*(x.denominator for x in values))
+        values = [x.numerator * (scale // x.denominator) for x in values]
+        g = gcd(*values)
+    if g <= 1:
+        return tuple(values)
+    return tuple(x // g for x in values)
+
+
 def rank(a: IntMatrix) -> int:
-    """Rational rank, computed fraction-free (Bareiss elimination)."""
-    m = a.row_lists()
-    r, c = a.rows, a.cols
-    rk = 0
-    prev = 1
-    for col in range(c):
-        piv = next((i for i in range(rk, r) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        row_k = m[rk]
-        for i in range(rk + 1, r):
-            row_i = m[i]
-            coef = row_i[col]
-            for j in range(col, c):
-                row_i[j] = (p * row_i[j] - coef * row_k[j]) // prev
-        prev = p
-        rk += 1
-        if rk == r:
+    """Rational rank: the number of rows an Echelon accepts."""
+    ech = Echelon()
+    for i in range(a.rows):
+        if ech.push(a.row(i)) and len(ech) == a.cols:
             break
-    return rk
+    return len(ech)
 
 
 def nullspace(a: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the rational kernel, cleared to primitive integer vectors.
 
-    One vector per free column of the reduced echelon form, in ascending
-    column order, each scaled to content 1 with positive leading entry.
+    One vector per free (non-pivot) column of the row echelon form, in
+    ascending column order: 1 on its free column, 0 on the others, scaled to
+    content 1 with positive leading entry.
     """
-    r, c = a.rows, a.cols
-    m = [[Fraction(x) for x in a.row(i)] for i in range(r)]
-    pivots: list[int] = []
-    rk = 0
-    for col in range(c):
-        piv = next((i for i in range(rk, r) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][col]
-        m[rk] = [x / p for x in m[rk]]
-        for i in range(r):
-            if i != rk and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rk])]
-        pivots.append(col)
-        rk += 1
-    pivot_set = set(pivots)
+    ech = Echelon()
+    for i in range(a.rows):
+        ech.push(a.row(i))
+    pivot_set = set(ech.pivots)
     basis = []
-    for free in range(c):
+    for free in range(a.cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * c
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][free]
-        den = 1
-        for x in v:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        ints = [x // g for x in ints]
+        v = [0] * a.cols
+        v[free] = 1
+        ints = primitive(ech.solve(v))
         lead = next(x for x in ints if x)
-        if lead < 0:
-            ints = [-x for x in ints]
-        basis.append(tuple(ints))
+        basis.append(ints if lead > 0 else tuple(-x for x in ints))
     return basis
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .census import Shard, shard_prefixes
@@ -24,7 +24,7 @@ from .complexes import (
     permutation_sign,
 )
 from .errors import BudgetExceededError
-from .exactalg import IntMatrix, rank
+from .exactalg import Echelon, IntMatrix, primitive, rank
 from .ratlp import solve_feasibility
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
@@ -109,22 +109,10 @@ def _support_rows(h: Hypergraph):
     with the original sparse entries as coefficients.
     """
     cols = edge_columns(h)
-    ambient = comb(h.n, h.d)
-    num_edges = len(cols)
-    support: list[int] = []
-    reduced: list[list[Fraction]] = []
-    for r in range(ambient):
-        v = [Fraction(cols[j][r]) for j in range(num_edges)]
-        for w in reduced:
-            piv = next(i for i in range(num_edges) if w[i])
-            if v[piv]:
-                f = v[piv] / w[piv]
-                v = [a - f * b for a, b in zip(v, w)]
-        if any(v):
-            reduced.append(v)
-            support.append(r)
-    restricted = tuple(tuple(cols[j][r] for r in support) for j in range(num_edges))
-    return tuple(support), restricted
+    ech = Echelon()
+    support = tuple(r for r in range(comb(h.n, h.d)) if ech.push([c[r] for c in cols]))
+    restricted = tuple(tuple(c[r] for r in support) for c in cols)
+    return support, restricted
 
 
 def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
@@ -160,15 +148,6 @@ def _embed(h: Hypergraph, values: Sequence) -> tuple[Fraction, ...]:
     return tuple(witness)
 
 
-def _primitive(values: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a rational vector (zeros
-    stay zeros)."""
-    scale = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
-
-
 def _pair(column: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(column, w))
 
@@ -177,7 +156,7 @@ def _lp_witness(h: Hypergraph, signs: list[int]) -> Optional[tuple[int, ...]]:
     """Primitive integer cochain on the support rows realizing the sign
     prefix, found by one feasibility LP, or None."""
     sol = _solve_on_support(h, enumerate(signs))
-    return None if sol is None else _primitive(sol)
+    return None if sol is None else primitive(sol)
 
 
 def _extensions(
@@ -209,7 +188,7 @@ def _extensions(
             found[-s] = other
             if with_zero:
                 v_other = _pair(column, other)
-                found[0] = _primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
+                found[0] = primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
     else:
         if with_zero:
             found[0] = w
@@ -220,7 +199,7 @@ def _extensions(
             for j, sj in enumerate(signs):
                 if sj:
                     c = max(c, abs(_pair(restricted[j], plus)) // abs(_pair(restricted[j], w)) + 1)
-            found[-1] = _primitive([c * a - b for a, b in zip(w, plus)])
+            found[-1] = primitive([c * a - b for a, b in zip(w, plus)])
     return [(s, found[s]) for s in (1, -1, 0) if s in found]
 
 
@@ -343,20 +322,25 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
     if bound > budget:
         raise BudgetExceededError(bound, budget, "face enumeration")
     faces: list[FaceDescriptor] = []
-    signs: list[int] = []
-
-    def rec(w: tuple[int, ...]) -> None:
-        if len(signs) == num_edges:
-            pattern = SignPattern(tuple(signs))
-            faces.append(FaceDescriptor(pattern, _zero_set_dimension(h, signs), _embed(h, w)))
-            return
-        for s, child in _extensions(h, signs, w, with_zero=True):
-            signs.append(s)
-            rec(child)
-            signs.pop()
-
-    rec((0,) * len(_support_rows(h)[0]))
+    _collect_faces(h, [], (0,) * len(_support_rows(h)[0]), faces)
     return FaceLattice(h, faces)
+
+
+def _collect_faces(h: Hypergraph, signs: list[int], w: tuple[int, ...], out: list) -> None:
+    """Append to out every face whose pattern extends the sign prefix
+    `signs`, which w realizes.
+
+    A module function rather than a closure: a recursive closure is a
+    reference cycle, which would keep the faces alive until the cyclic
+    garbage collector runs, after the lattice itself is gone.
+    """
+    if len(signs) == len(h.edges):
+        out.append(FaceDescriptor(SignPattern(tuple(signs)), _zero_set_dimension(h, signs), _embed(h, w)))
+        return
+    for s, child in _extensions(h, signs, w, with_zero=True):
+        signs.append(s)
+        _collect_faces(h, signs, child, out)
+        signs.pop()
 
 
 def facets(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> tuple[FaceDescriptor, ...]:

@@ -2,13 +2,16 @@
 
 Callers encode open conditions ("> 0") as ">= 1" rows; for the homogeneous
 systems built here that homogenization is sound and complete. Equalities are
-eliminated first by integer forward echelon with content normalization. The
-remaining inequality system is decided by Fourier-Motzkin elimination when it
-has few variables, and by a phase-one simplex (Bland's rule) above that. The
-simplex pivots on integers: its tableau is an integer matrix over one common
-denominator, every division in a pivot is exact, and the artificial columns,
-which never re-enter the basis, are not stored. Both paths produce an exact
-witness on success.
+eliminated first: they go into an `exactalg.Echelon` (fraction-free Bareiss
+elimination) with the right-hand side as last column, and each inequality is
+reduced against it, leaving the free variables only. The remaining system
+is decided by Fourier-Motzkin elimination when it has few variables, and by
+a phase-one simplex (Bland's rule) above that. The simplex pivots on
+integers: its tableau is an integer matrix over one common denominator, every
+division in a pivot is exact, and the artificial columns, which never
+re-enter the basis, are not stored. Both paths produce an exact witness on
+success, and back-substitution through the echelon fills in the pivot
+variables.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
+
+from .exactalg import Echelon, primitive
 
 FM_VARIABLE_LIMIT = 12
 
@@ -30,48 +35,29 @@ def solve_feasibility(
 ) -> Optional[list[Fraction]]:
     """Find x with coeffs.x == rhs for every equality and coeffs.x >= rhs for
     every inequality, or return None if no such x exists."""
-    # Integer forward echelon of the equalities; each accepted row has a pivot
-    # column unused by earlier rows and is content-normalized.
-    echelon: list[tuple[list[int], int]] = []
-    pivots: list[int] = []
+    # Each row carries its rhs as the last column, so a pivot there reads
+    # 0 == rhs != 0.
+    ech = Echelon()
     for coeffs, rhs in equalities:
-        c, b = _as_int_row(coeffs, rhs)
-        for (ec, eb), pc in zip(echelon, pivots):
-            f = c[pc]
-            if f:
-                p = ec[pc]
-                c = [p * x - f * y for x, y in zip(c, ec)]
-                b = p * b - f * eb
-                c, b = _content_reduce(c, b)
-        if not any(c):
-            if b:
-                return None
-            continue
-        echelon.append((c, b))
-        pivots.append(next(j for j in range(n_vars) if c[j]))
-    pivot_set = set(pivots)
+        if ech.push(_as_int_row(coeffs, rhs)) and ech.pivots[-1] == n_vars:
+            return None
+    pivot_set = set(ech.pivots)
     free_vars = [j for j in range(n_vars) if j not in pivot_set]
     k = len(free_vars)
 
+    # A reduced row is the last pivot times the rational remainder, which is
+    # zero on the pivot columns; a negative pivot flips the inequality.
+    flip = ech.last_pivot < 0
+    free_cols = free_vars + [n_vars]
     reduced: list[_IntRow] = []
     for coeffs, rhs in inequalities:
-        c, b = _as_int_row(coeffs, rhs)
-        for (ec, eb), pc in zip(echelon, pivots):
-            f = c[pc]
-            if f:
-                # scale by |pivot| so the inequality direction is preserved
-                p = ec[pc]
-                if p < 0:
-                    p, ec, eb = -p, [-x for x in ec], -eb
-                c = [p * x - f * y for x, y in zip(c, ec)]
-                b = p * b - f * eb
-                c, b = _content_reduce(c, b)
-        acc = [c[j] for j in free_vars]
-        if not any(acc):
-            if b > 0:
+        row = ech.reduce(_as_int_row(coeffs, rhs))
+        row = primitive([-row[j] if flip else row[j] for j in free_cols])
+        if not any(row[:k]):
+            if row[k] > 0:
                 return None
             continue
-        reduced.append(_primitive(acc, b))
+        reduced.append((row[:k], row[k]))
 
     if not reduced:
         x_free: Optional[list[Fraction]] = [Fraction(0)] * k
@@ -82,45 +68,18 @@ def solve_feasibility(
     if x_free is None:
         return None
 
-    x: list = [Fraction(0)] * n_vars
+    # x extended by -1 pairs to zero with every equality row (coeffs, rhs).
+    x: list = [Fraction(0)] * n_vars + [-1]
     for pos, f in enumerate(free_vars):
         x[f] = x_free[pos]
-    # Each echelon row is zero on all earlier pivots, so solving in reverse
-    # order meets only already-assigned variables besides its own pivot.
-    for (ec, eb), pc in reversed(list(zip(echelon, pivots))):
-        rest = eb - sum(ec[j] * x[j] for j in range(n_vars) if j != pc and ec[j])
-        x[pc] = Fraction(rest, ec[pc])
-    return x
+    return ech.solve(x)[:n_vars]
 
 
-def _as_int_row(coeffs: Sequence, rhs) -> tuple[list[int], int]:
+def _as_int_row(coeffs: Sequence, rhs) -> Sequence[int]:
+    """The row (coeffs, rhs) as integers, scaled by a positive factor."""
     if isinstance(rhs, int) and all(type(x) is int for x in coeffs):
-        return list(coeffs), rhs
-    fracs = [Fraction(x) for x in coeffs]
-    frhs = Fraction(rhs)
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    den = den * frhs.denominator // gcd(den, frhs.denominator)
-    return [int(x * den) for x in fracs], int(frhs * den)
-
-
-def _content_reduce(coeffs: list[int], rhs: int) -> tuple[list[int], int]:
-    g = 0
-    for x in coeffs:
-        g = gcd(g, x)
-    g = gcd(g, rhs)
-    if g > 1:
-        return [x // g for x in coeffs], rhs // g
-    return coeffs, rhs
-
-
-def _primitive(coeffs: list[int], rhs: int) -> _IntRow:
-    g = 0
-    for x in coeffs:
-        g = gcd(g, x)
-    g = gcd(g, rhs)
-    return tuple(x // g for x in coeffs), rhs // g
+        return (*coeffs, rhs)
+    return primitive([Fraction(x) for x in coeffs] + [Fraction(rhs)])
 
 
 def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from acyclo import Hypergraph, complete_hypergraph
+from acyclo import Hypergraph, census, complete_hypergraph, faces
 from acyclo.cli import main, parse_hypergraph, serialize_hypergraph
 from acyclo.errors import HypergraphParseError
 
@@ -232,6 +232,7 @@ def test_golden_outputs(capsys):
         (["kalai-census", "--complete", "4", "2"], "kalai_4_2.json"),
         (["ehrhart", "--complete", "4", "2", "--format", "csv"], "ehrhart_k34.csv"),
         (["vertices", "--complete", "4", "2", "--format", "csv"], "vertices_k34.csv"),
+        (["faces", "--complete", "4", "2"], "faces_k34.json"),
     ]
     for args, name in goldens:
         code, out = run_cli(args, capsys)
@@ -389,6 +390,19 @@ def test_oversized_complete_fails_fast(command, capsys):
     assert elapsed < 0.5
 
 
+def test_huge_complete_fails_fast(capsys):
+    # comb(2000000, 1000000) has over 600000 digits; computing it exactly
+    # takes tens of seconds
+    start = time.perf_counter()
+    code = main(["volume", "--complete", "2000000", "999999"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "at least 10^" in captured.err
+    assert elapsed < 0.5
+
+
 def test_oversized_complete_uses_given_budget(capsys):
     # comb(6, 3) = 20 edges
     assert main(["faces", "--complete", "6", "2", "--budget", "19"]) == 3
@@ -401,3 +415,33 @@ def test_complete_dimension_out_of_range(capsys):
     assert code == 2
     assert "1 <= d <= n-1" in captured.err
     assert captured.out == ""
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["volume", "--complete", "5", "1", "--oracle"], census, "volume"),
+        (["lattice-points", "--complete", "4", "1", "--oracle"], census, "lattice_point_count"),
+        (["vertices", "--complete", "4", "1", "--oracle"], faces, "enumerate_vertices"),
+        (["oracle", "--complete", "4", "1"], census, "volume"),
+    ],
+    ids=["volume", "lattice-points", "vertices", "oracle"],
+)
+def test_oracle_computes_each_value_once(argv, module, name, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, module, name)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert all(r["agreement"] for r in json.loads(out)["oracle_reports"])
+    assert len(calls) == 1

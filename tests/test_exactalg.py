@@ -16,6 +16,7 @@ from acyclo import (
     saturation_index,
     snf,
 )
+from acyclo.exactalg import Echelon, primitive
 from acyclo.oracle import torsion_rowreduce
 
 from conftest import RP2_TRIANGLES
@@ -152,3 +153,69 @@ def test_random_against_rowreduce_oracle():
             if f:
                 prod *= f
         assert saturation_index(a) == prod
+
+
+def _product(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of random r x k and k x c integer matrices with k < min(r, c),
+    so that rank is at most k and the elimination meets dependent rows."""
+    r, c = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    k = draw(st.integers(0, min(r, c) - 1))
+    entries = st.integers(-5, 5)
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+    right = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+    return IntMatrix.from_rows(_product(left, right) if k else [[0] * c for _ in range(r)], cols=c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(low_rank_matrices())
+def test_rank_and_nullspace_of_low_rank_matrices(a):
+    # snf runs its own elimination (_diagonalize), independent of Echelon
+    rk = rank(a)
+    assert rk == sum(1 for f in snf(a).invariant_factors if f)
+    basis = nullspace(a)
+    assert len(basis) == a.cols - rk
+    for v in basis:
+        assert primitive(v) == v and any(v)
+        assert all(sum(x * y for x, y in zip(a.row(i), v)) == 0 for i in range(a.rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices(), matrices)
+def test_echelon_pop_restores_push(a, extra):
+    ech = Echelon()
+    for i in range(a.rows):
+        ech.push(a.row(i))
+    before = ([list(r) for r in ech.rows], list(ech.pivots), list(ech.values))
+    for vec in extra:
+        vec = (vec + [0] * a.cols)[: a.cols]
+        if ech.push(vec):
+            ech.pop()
+        assert (ech.rows, ech.pivots, ech.values) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_echelon_last_pivot_is_the_determinant(rows):
+    n = min(len(rows), len(rows[0]))
+    a = IntMatrix.from_rows([row[:n] for row in rows[:n]])
+    det = a.determinant()
+    ech = Echelon()
+    accepted = [ech.push(a.row(i)) for i in range(n)]
+    if det:
+        assert all(accepted)
+        assert ech.last_pivot in (det, -det)
+    else:
+        assert not all(accepted)
+
+
+def test_primitive():
+    assert primitive([Fraction(1, 2), 0, Fraction(-3, 4)]) == (2, 0, -3)
+    assert primitive([0, -4, 6]) == (0, -2, 3)
+    assert primitive([Fraction(2), Fraction(4)]) == (1, 2)
+    assert all(type(x) is int for x in primitive([Fraction(2), Fraction(4)]))
+    assert primitive([0, 0]) == (0, 0)
