@@ -201,7 +201,9 @@ def _kirchhoff_check(args, h: Hypergraph, report: dict) -> Optional[oracle.Oracl
 
 
 def _ehrhart_fit_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
-    return oracle.ehrhart_fit_check(h) if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP else None
+    if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
+        coeffs = report["ehrhart"]["coefficients"] if "ehrhart" in report else None
+        return oracle.ehrhart_fit_check(h, theorem_coeffs=coeffs)
 
 
 def _lattice_points_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
@@ -221,6 +223,13 @@ def _vertex_patterns_check(args, h: Hypergraph, report: dict) -> Optional[oracle
             enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h)}
         brute = {p.as_string() for p in oracle.signpattern_bruteforce(h)}
         return oracle.OracleReport.compare("vertex pattern sets", sorted(enumerated), sorted(brute))
+    budget = faces.DEFAULT_PATTERN_BUDGET if args.budget is None else args.budget
+    if 2 ** len(h.edges) <= budget:
+        if "vertices" in report:
+            count = report["count"]
+        else:
+            count = sum(1 for _ in faces.enumerate_vertices(h, budget=budget))
+        return oracle.OracleReport.compare("vertex count vs regions", count, oracle.region_count(h))
 
 
 def _add_oracle_reports(args, h: Hypergraph, report: dict, checks=None) -> int:

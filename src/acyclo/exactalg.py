@@ -3,7 +3,8 @@
 Smith normal form with unimodular witnesses, lattice saturation indices, and
 one incremental fraction-free (Bareiss) elimination kernel, `Echelon`, on
 which rank, primitive integer kernels, the hyperforest DFS of `census`, the
-support rows of `faces` and the equalities of `ratlp` all run.
+support rows and signed circuits of `faces` and the equalities of `ratlp`
+all run.
 `IntMatrix.determinant` keeps its own Bareiss loop, because the oracle that
 checks the census (the Kirchhoff tree count) is built on it and should not
 share code with the path it checks. Everything runs on Python's

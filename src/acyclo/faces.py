@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .census import Shard, shard_prefixes
@@ -152,54 +153,141 @@ def _pair(column: Sequence[int], w: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(column, w))
 
 
-def _lp_witness(h: Hypergraph, signs: list[int]) -> Optional[tuple[int, ...]]:
-    """Primitive integer cochain on the support rows realizing the sign
-    prefix, found by one feasibility LP, or None."""
+def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
+    """The signed circuits of the edge columns on the support rows, listed
+    under their largest edge, each signed + there.
+
+    A circuit is a minimal linearly dependent set of edges, signed by the
+    coefficients of its dependency; it is stored as (plus mask, minus mask),
+    edge j at bit j. A DFS over independent edge sets, in increasing order,
+    finds the circuit C once, at the set C minus its largest edge e: each
+    column carries a unit tag after its entries, so the echelon row that a
+    dependent column leaves has a zero column part and its dependency as tag,
+    and that dependency is C exactly when it uses every chosen edge.
+    """
+    support, restricted = _support_rows(h)
+    m = len(restricted)
+    tagged = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(restricted)]
+    by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    _grow_circuits(Echelon(), tagged, len(support), 0, 0, by_last)
+    return by_last
+
+
+def _grow_circuits(
+    ech: Echelon, tagged: list[list[int]], width: int, start: int, chosen: int, by_last: list
+) -> None:
+    """Add to by_last each circuit that contains the edges of the mask
+    `chosen`, whose tagged columns ech holds, and whose other edges are all
+    `start` or later.
+
+    Such a circuit exists only if no chosen edge is a coloop of the chosen
+    and the later edges, that is, only if each chosen edge is used by some
+    dependency among them. The later columns, pushed on top of ech, leave
+    rows whose tags span those dependencies, so the search stops below
+    `chosen` when their supports miss a chosen edge. A module function
+    rather than a closure, which would be a reference cycle.
+    """
+    m = len(tagged)
+    if chosen:
+        for e in range(start, m):
+            ech.push(tagged[e])
+        used = 0
+        for row, pivot in zip(ech.rows, ech.pivots):
+            if pivot >= width:
+                used |= sum(1 << j for j, x in enumerate(row[width:]) if x)
+        for _ in range(start, m):
+            ech.pop()
+        if chosen & ~used:
+            return
+    for e in range(start, m):
+        ech.push(tagged[e])  # always kept: the tag is nonzero
+        if ech.pivots[-1] < width:  # independent of the chosen edges
+            _grow_circuits(ech, tagged, width, e + 1, chosen | 1 << e, by_last)
+        else:
+            dependency = ech.rows[-1][width:]
+            if sum(1 for x in dependency if x) == len(ech):
+                sign = 1 if dependency[e] > 0 else -1
+                plus = sum(1 << j for j, x in enumerate(dependency) if sign * x > 0)
+                minus = sum(1 << j for j, x in enumerate(dependency) if sign * x < 0)
+                by_last[e].append((plus, minus))
+        ech.pop()
+
+
+def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[bool, bool]:
+    """Whether the sign prefix with these plus and minus edge masks stays
+    realizable with + and with - on the next edge, given the signed circuits
+    `ending` there.
+
+    A sign vector on edges 0..k is realized by a cochain exactly when it is
+    orthogonal to every signed circuit inside 0..k: it agrees with the
+    circuit on some edge exactly when it disagrees with it on some edge
+    (covector axioms: Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
+    Oriented Matroids; for a zero-free vector this is Gordan's alternative). The prefix passed the circuits inside 0..k-1, so only
+    those ending at k are left, and each is + at k: + agrees there, so it
+    needs a disagreement on the prefix, and - needs an agreement.
+    """
+    up = down = True
+    for cp, cm in ending:
+        if up and not (cp & minus or cm & plus):
+            up = False
+        if down and not (cp & plus or cm & minus):
+            down = False
+    return up, down
+
+
+def _lp_witness(h: Hypergraph, signs: list[int]) -> tuple[int, ...]:
+    """Primitive integer cochain on the support rows realizing a sign prefix
+    that the signed circuits admit, found by one feasibility LP."""
     sol = _solve_on_support(h, enumerate(signs))
-    return None if sol is None else primitive(sol)
+    if sol is None:
+        raise RuntimeError(f"no cochain realizes the sign prefix {signs}, which every signed circuit admits")
+    return primitive(sol)
 
 
 def _extensions(
-    h: Hypergraph, signs: list[int], w: tuple[int, ...], with_zero: bool
+    h: Hypergraph, signs: list[int], w: tuple[int, ...], ending: Sequence[tuple[int, int]]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """The realizable one-edge extensions of the sign prefix `signs`, each
-    with a witness, in the order +, -, 0 (0 only if with_zero), given a
-    witness w of the prefix on the support rows. Makes one LP call.
+    with a witness, in the order +, -, 0, given a witness w of the prefix on
+    the support rows and the signed circuits `ending` at the next edge.
 
-    The cochains realizing a prefix form a convex cone, so one LP decides
-    every sibling. Let v be w's pairing with the next edge.
-    - v != 0 with sign s: w realizes s, and one LP decides -s, giving w'.
-      0 is realizable exactly when -s is: |v'|.w + |v|.w' vanishes on the
-      edge and keeps every earlier sign and zero, and conversely u - eps.w
-      realizes -s whenever u realizes 0.
-    - v == 0: w realizes 0, and one LP decides +, giving w+. Then c.w - w+
-      realizes - once c.|<e, w>| > |<e, w+>| on every earlier nonzero edge
-      e, and symmetrically - is realizable only if + is.
+    The circuits decide which children exist; an LP only builds the witness
+    of a child they admit, so it is always feasible. The cochains realizing
+    a prefix form a convex cone. Let v be w's pairing with the next edge.
+    - v != 0 with sign s: w realizes s. If the circuits admit -s, one LP
+      finds its witness w'. 0 is realizable exactly when -s is:
+      |v'|.w + |v|.w' vanishes on the edge and keeps every earlier sign and
+      zero, and conversely u - eps.w realizes -s whenever u realizes 0.
+    - v == 0: w realizes 0. If the circuits admit +, one LP finds its
+      witness w+. Then c.w - w+ realizes - once c.|<e, w>| > |<e, w+>| on
+      every earlier nonzero edge e, and symmetrically - is realizable only
+      if + is.
     """
     _, restricted = _support_rows(h)
     column = restricted[len(signs)]
+    plus = sum(1 << j for j, s in enumerate(signs) if s > 0)
+    minus = sum(1 << j for j, s in enumerate(signs) if s < 0)
+    up, down = _extends(plus, minus, ending)
     v = _pair(column, w)
     found: dict[int, tuple[int, ...]] = {}
     if v:
         s = 1 if v > 0 else -1
         found[s] = w
-        other = _lp_witness(h, signs + [-s])
-        if other is not None:
+        if down if s > 0 else up:
+            other = _lp_witness(h, signs + [-s])
             found[-s] = other
-            if with_zero:
-                v_other = _pair(column, other)
-                found[0] = primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
+            v_other = _pair(column, other)
+            found[0] = primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
     else:
-        if with_zero:
-            found[0] = w
-        plus = _lp_witness(h, signs + [1])
-        if plus is not None:
-            found[1] = plus
+        found[0] = w
+        if up:
+            w_up = _lp_witness(h, signs + [1])
+            found[1] = w_up
             c = 1
             for j, sj in enumerate(signs):
                 if sj:
-                    c = max(c, abs(_pair(restricted[j], plus)) // abs(_pair(restricted[j], w)) + 1)
-            found[-1] = primitive([c * a - b for a, b in zip(w, plus)])
+                    c = max(c, abs(_pair(restricted[j], w_up)) // abs(_pair(restricted[j], w)) + 1)
+            found[-1] = primitive([c * a - b for a, b in zip(w, w_up)])
     return [(s, found[s]) for s in (1, -1, 0) if s in found]
 
 
@@ -227,34 +315,40 @@ def enumerate_vertices(
 ) -> Iterator[tuple[SignPattern, tuple[int, ...]]]:
     """All valid proper sign patterns with their lattice points, exactly once.
 
-    Depth-first search over +-1 edge assignments that carries a witness
-    cochain of each realizable prefix, so each node makes one LP call.
+    Depth-first search over +-1 edge assignments, + first, that keeps a
+    child when the signed circuits ending at its edge admit it, and carries
+    the lattice point down, adding an edge's column on each +. It solves no
+    LP. A shard's prefixes are checked edge by edge in the same way.
     """
     num_edges = len(h.edges)
     bound = 2 ** num_edges
     if bound > budget:
         raise BudgetExceededError(bound, budget, "vertex enumeration")
-    signs: list[int] = []
-
-    def rec(w: tuple[int, ...]) -> Iterator[tuple[SignPattern, tuple[int, ...]]]:
-        if len(signs) == num_edges:
-            pattern = SignPattern(tuple(signs))
-            yield pattern, vertex_point(h, pattern)
-            return
-        for s, child in _extensions(h, signs, w, with_zero=False):
-            signs.append(s)
-            yield from rec(child)
-            signs.pop()
-
-    if shard is None:
-        yield from rec((0,) * len(_support_rows(h)[0]))
-        return
-
-    for prefix in shard_prefixes(num_edges, shard):
-        signs[:] = [1 if included else -1 for included in prefix]
-        w = _lp_witness(h, signs)
-        if w is not None:
-            yield from rec(w)
+    circuits = _signed_circuits(h)
+    cols = edge_columns(h)
+    stack = []
+    for prefix in [()] if shard is None else shard_prefixes(num_edges, shard):
+        plus, minus, point = 0, 0, (0,) * comb(h.n, h.d)
+        for k, included in enumerate(prefix):
+            up, down = _extends(plus, minus, circuits[k])
+            if not (up if included else down):
+                break
+            if included:
+                plus, point = plus | 1 << k, tuple(map(add, point, cols[k]))
+            else:
+                minus |= 1 << k
+        else:
+            stack.append((len(prefix), plus, minus, point))
+        while stack:
+            k, plus, minus, point = stack.pop()
+            if k == num_edges:
+                yield SignPattern(tuple(1 if plus >> j & 1 else -1 for j in range(num_edges))), point
+                continue
+            up, down = _extends(plus, minus, circuits[k])
+            if down:
+                stack.append((k + 1, plus, minus | 1 << k, point))
+            if up:  # popped first
+                stack.append((k + 1, plus | 1 << k, minus, tuple(map(add, point, cols[k]))))
 
 
 def vertex_adjacency(h: Hypergraph, sigma1: SignPattern, sigma2: SignPattern) -> bool:
@@ -308,11 +402,11 @@ class FaceLattice:
 
 
 def _zero_set_dimension(h: Hypergraph, values: Sequence[int]) -> int:
-    cols = edge_columns(h)
-    zero_cols = [cols[j] for j, s in enumerate(values) if s == 0]
-    ambient = comb(h.n, h.d)
-    rows = [[c[r] for c in zero_cols] for r in range(ambient)]
-    return rank(IntMatrix.from_rows(rows, cols=len(zero_cols)))
+    """Rank of the zero edges' columns, which their restriction to the
+    support rows keeps."""
+    support, restricted = _support_rows(h)
+    zero_cols = [restricted[j] for j, s in enumerate(values) if s == 0]
+    return rank(IntMatrix.from_rows(zero_cols, cols=len(support)))
 
 
 def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLattice:
@@ -322,13 +416,13 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
     if bound > budget:
         raise BudgetExceededError(bound, budget, "face enumeration")
     faces: list[FaceDescriptor] = []
-    _collect_faces(h, [], (0,) * len(_support_rows(h)[0]), faces)
+    _collect_faces(h, _signed_circuits(h), [], (0,) * len(_support_rows(h)[0]), faces)
     return FaceLattice(h, faces)
 
 
-def _collect_faces(h: Hypergraph, signs: list[int], w: tuple[int, ...], out: list) -> None:
+def _collect_faces(h: Hypergraph, circuits, signs: list[int], w: tuple[int, ...], out: list) -> None:
     """Append to out every face whose pattern extends the sign prefix
-    `signs`, which w realizes.
+    `signs`, which w realizes, given the signed circuits by largest edge.
 
     A module function rather than a closure: a recursive closure is a
     reference cycle, which would keep the faces alive until the cyclic
@@ -337,9 +431,9 @@ def _collect_faces(h: Hypergraph, signs: list[int], w: tuple[int, ...], out: lis
     if len(signs) == len(h.edges):
         out.append(FaceDescriptor(SignPattern(tuple(signs)), _zero_set_dimension(h, signs), _embed(h, w)))
         return
-    for s, child in _extensions(h, signs, w, with_zero=True):
+    for s, child in _extensions(h, signs, w, circuits[len(signs)]):
         signs.append(s)
-        _collect_faces(h, signs, child, out)
+        _collect_faces(h, circuits, signs, child, out)
         signs.pop()
 
 

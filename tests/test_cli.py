@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from acyclo import Hypergraph, census, complete_hypergraph, faces
+from acyclo import Hypergraph, census, complete_hypergraph, faces, oracle
 from acyclo.cli import main, parse_hypergraph, serialize_hypergraph
 from acyclo.errors import HypergraphParseError
 
@@ -445,3 +445,25 @@ def test_oracle_computes_each_value_once(argv, module, name, monkeypatch, capsys
     assert code == 0
     assert all(r["agreement"] for r in json.loads(out)["oracle_reports"])
     assert len(calls) == 1
+
+
+def test_ehrhart_oracle_computes_the_polynomial_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, census, "ehrhart")
+    monkeypatch.setattr(oracle, "ehrhart", census.ehrhart)
+    code, out = run_cli(["ehrhart", "--complete", "4", "1", "--oracle"], capsys)
+    assert code == 0
+    assert [r["agreement"] for r in json.loads(out)["oracle_reports"]] == [True]
+    assert len(calls) == 1
+
+
+def test_vertex_oracle_counts_regions_above_the_pattern_cap(capsys):
+    code, out = run_cli(["vertices", "--complete", "6", "1", "--oracle"], capsys)
+    assert code == 0
+    (report,) = json.loads(out)["oracle_reports"]
+    assert report == {"quantity": "vertex count vs regions", "theorem": "720", "oracle": "720", "agreement": True}
+
+
+def test_region_count_respects_the_vertex_budget(capsys):
+    code, out = run_cli(["oracle", "--complete", "6", "1", "--budget", str(2 ** 15 - 1)], capsys)
+    assert code == 0
+    assert [r["quantity"] for r in json.loads(out)["oracle_reports"]] == ["volume vs kirchhoff"]

@@ -18,6 +18,7 @@ from acyclo import (
     face_lattice,
     facets,
     is_acyclic_hypertournament,
+    nullspace,
     partition_pattern,
     permutation_sign,
     rank,
@@ -25,7 +26,7 @@ from acyclo import (
     vertex_adjacency,
     vertex_point,
 )
-from acyclo import ratlp
+from acyclo import faces, ratlp
 from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
@@ -604,3 +605,92 @@ def test_a52_vertex_shards_union():
         sharded.extend(p.values for p, _ in enumerate_vertices(h, shard=(i, 4)))
     assert len(full) == 544
     assert sorted(sharded) == sorted(full)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        complete_hypergraph(4, 2),
+        complete_hypergraph(5, 1),
+        random_3_uniform(3, n=5, edges=8),
+        random_3_uniform(19, n=6, edges=12),
+    ],
+    ids=["A(4,2)", "A(5,1)", "random-5-8", "random-6-12"],
+)
+def test_signed_circuits_are_the_minimal_dependent_sets(h):
+    cols = edge_columns(h)
+    ambient = comb(h.n, h.d)
+    m = len(cols)
+
+    independent = []
+    for mask in range(1 << m):
+        chosen = [cols[j] for j in range(m) if mask >> j & 1]
+        independent.append(rank(IntMatrix.from_rows(chosen, cols=ambient)) == len(chosen))
+    minimal_dependent = {
+        mask
+        for mask in range(1, 1 << m)
+        if not independent[mask]
+        and all(independent[mask & ~(1 << j)] for j in range(m) if mask >> j & 1)
+    }
+    by_last = faces._signed_circuits(h)
+    found = [(e, plus, minus) for e, ending in enumerate(by_last) for plus, minus in ending]
+    assert minimal_dependent
+    assert sorted(plus | minus for _, plus, minus in found) == sorted(minimal_dependent)
+    for e, plus, minus in found:
+        support = [j for j in range(m) if (plus | minus) >> j & 1]
+        assert max(support) == e and plus >> e & 1 and not plus & minus
+        matrix = IntMatrix.from_rows([[cols[j][r] for j in support] for r in range(ambient)])
+        (kernel,) = nullspace(matrix)
+        signs = tuple(1 if plus >> j & 1 else -1 for j in support)
+        assert signs_of(kernel) in (signs, tuple(-s for s in signs))
+
+
+def test_circuit_counts():
+    assert [sum(map(len, faces._signed_circuits(complete_hypergraph(n, d)))) for n, d in
+            [(5, 2), (6, 1), (6, 3)]] == [15, 197, 31]
+
+
+@pytest.mark.parametrize("shard", [None, (0, 4), (1, 4), (2, 4), (3, 4)], ids=["all", "0/4", "1/4", "2/4", "3/4"])
+@pytest.mark.parametrize("n, d, count", [(6, 1, 720), (5, 2, 544)])
+def test_vertex_search_solves_no_lp(n, d, count, shard, monkeypatch):
+    counter = _CountingLP()
+    monkeypatch.setattr("acyclo.faces.solve_feasibility", counter)
+    vertices = list(enumerate_vertices(complete_hypergraph(n, d), shard=shard))
+    if shard is None:
+        assert len(vertices) == count
+    assert counter.calls == 0
+
+
+def test_face_lattice_lps_only_build_witnesses(monkeypatch):
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        result = solve_feasibility(*args, **kwargs)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr("acyclo.faces.solve_feasibility", recording)
+    face_lattice(complete_hypergraph(5, 2))
+    assert 0 < len(outcomes) <= 4174
+    assert all(outcomes)
+
+
+def test_an_lp_failing_where_the_circuits_admit_raises(k34, monkeypatch):
+    monkeypatch.setattr("acyclo.faces.solve_feasibility", lambda *args, **kwargs: None)
+    with pytest.raises(RuntimeError, match="every signed circuit admits"):
+        face_lattice(k34)
+
+
+def test_a63_vertex_count():
+    # confirmed by Zaslavsky's T(2, 0), oracle.region_count, in about 2 s
+    assert sum(1 for _ in enumerate_vertices(complete_hypergraph(6, 3))) == 22320
+
+
+@pytest.mark.parametrize("total", [32, 64])
+def test_vertex_shards_whose_prefixes_hold_circuits(total):
+    # A(5,1)'s first triangle ends at edge 4, inside these shards' prefixes
+    h = complete_hypergraph(5, 1)
+    full = list(enumerate_vertices(h))
+    sharded = [v for i in range(total) for v in enumerate_vertices(h, shard=(i, total))]
+    assert len(full) == 120
+    assert sorted(sharded, key=lambda v: v[0].values) == sorted(full, key=lambda v: v[0].values)

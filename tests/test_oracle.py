@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from acyclo import (
     volume,
 )
 from acyclo.errors import BudgetExceededError
+from acyclo.oracle import region_count
 
 
 def test_kirchhoff_k3(k3):
@@ -173,3 +175,29 @@ def test_ehrhart_evaluations_match_direct_counts():
         poly = ehrhart(h)
         for t in (1, 2):
             assert poly.evaluate(t) == lattice_points_direct(h, t)
+
+
+@pytest.mark.parametrize("n, d, count", [(4, 2, 14), (5, 2, 544), (6, 1, 720)])
+def test_region_count_of_complete_hypergraphs(n, d, count):
+    assert region_count(complete_hypergraph(n, d)) == count
+
+
+def test_region_count_matches_enumeration_on_random_hypergraphs():
+    rng = random.Random(6)
+    for _ in range(6):
+        n = rng.randint(4, 6)
+        d = rng.randint(1, min(2, n - 2))
+        pool = list(combinations(range(1, n + 1), d + 1))
+        h = Hypergraph.from_edges(n, d, rng.sample(pool, rng.randint(1, min(9, len(pool)))))
+        assert region_count(h) == sum(1 for _ in enumerate_vertices(h))
+
+
+def test_region_count_of_edge_cases():
+    assert region_count(Hypergraph(3, 1, ())) == 1
+    assert region_count(Hypergraph(2, 1, ((1, 2),))) == 2
+
+
+def test_fit_check_takes_the_theorem_value(k3):
+    assert ehrhart_fit_check(k3, theorem_coeffs=(1, 3, 3)).agreement
+    report = ehrhart_fit_check(k3, theorem_coeffs=[1, 3, 4])
+    assert not report.agreement and report.theorem_value == (1, 3, 4)
