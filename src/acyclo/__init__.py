@@ -54,6 +54,7 @@ from .oracle import (
     ehrhart_fit_check,
     kirchhoff_tree_count,
     lattice_points_direct,
+    matrix_tree_sum,
     signpattern_bruteforce,
     torsion_rowreduce,
 )

@@ -1,12 +1,22 @@
 """Spanning hyperforest/hypertree enumeration and derived zonotope statistics.
 
-The enumerator walks edge subsets in lexicographic depth-first order. It
-keeps the chosen boundary columns in an `exactalg.Echelon`, a fraction-free
-(Bareiss) elimination that is pushed on inclusion and popped on backtrack, so
-dependent columns prune whole subtrees. The last pivot of a full reduction
+The enumerator walks edge subsets in lexicographic depth-first order, on an
+explicit stack. Each level keeps its remaining candidate columns already
+reduced, by fraction-free (Bareiss) elimination in an `exactalg.Echelon`,
+against the chosen ones: choosing a column applies one elimination step to
+each later candidate, and a candidate that reduces to zero is dependent in
+the whole subtree, so it is dropped there. The last pivot of a full reduction
 equals (up to sign) the determinant of the pivot submatrix of the chosen
 columns; when it is +-1 the column lattice is saturated and the torsion order
 is 1 without a Smith-form call.
+
+The columns are the boundary columns restricted to the d-subsets that miss
+vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
+2009). That restriction maps the cycle space Z_{d-1} isomorphically onto the
+integer lattice of those comb(n-1, d) rows, so independence and saturation
+indices are those of the full columns, and a spanning hypertree's columns
+form a square matrix whose determinant, the last pivot up to sign, is its
+torsion order.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import Echelon, _invariant_factors
+from .exactalg import Echelon, _invariant_factors, leading
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -107,43 +117,68 @@ def _forest_nodes(
     size are yielded and subtrees that cannot reach it are cut. With a shard,
     only subsets that start with one of its `shard_prefixes` are visited, so
     shards partition the stream.
+
+    `live` holds the current node's candidates: (edge, column reduced
+    against the chosen ones) for each later edge independent of them, in
+    order; `i` is the next one to try. The stack holds those of the nodes
+    above.
     """
-    num_edges = len(cols)
     ech = Echelon()
     chosen: list[int] = []
-
-    def push(j: int) -> bool:
-        if not ech.push(cols[j]):
-            return False
-        chosen.append(j)
-        return True
-
-    def pop() -> None:
-        ech.pop()
-        chosen.pop()
-
-    def rec(start: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        size = len(chosen)
-        if exact_size is None or size == exact_size:
-            yield tuple(chosen), ech.last_pivot
-            if exact_size is not None:
-                return
-        for j in range(start, num_edges):
-            if exact_size is not None and size + (num_edges - j) < exact_size:
-                break
-            if push(j):
-                yield from rec(j + 1)
-                pop()
-
-    if shard is None:
-        yield from rec(0)
-        return
-
-    for prefix in shard_prefixes(num_edges, shard):
-        if all(push(j) for j, included in enumerate(prefix) if included):
-            yield from rec(len(prefix))
+    floor = exact_size or 0  # the size every visited subtree must reach
+    prefixes = [()] if shard is None else shard_prefixes(len(cols), shard)
+    for prefix in prefixes:
+        live = [(j, c) for j, c in enumerate(cols) if any(c)]
+        for j, included in enumerate(prefix):
+            head = live[0] if live and live[0][0] == j else None
+            live = live[1:] if head else live
+            if included:
+                if head is None:  # dependent: the prefix heads no subset
+                    break
+                ech.accept(head[1])
+                chosen.append(j)
+                live = ech.advance(live)
+        else:
+            if exact_size is None or len(chosen) == exact_size:
+                yield tuple(chosen), ech.last_pivot
+            if exact_size is not None and len(chosen) >= exact_size:
+                live = []
+            stack = []
+            i, end = 0, len(live)
+            while True:
+                if i == end or len(chosen) + end - i < floor:
+                    if not stack:
+                        break
+                    live, i = stack.pop()
+                    end = len(live)
+                    ech.pop()
+                    chosen.pop()
+                    continue
+                j, v = live[i]
+                i += 1
+                if len(chosen) + 1 == exact_size or i == end:
+                    # A leaf needs no reduced candidates, only its pivot. With
+                    # exact_size set, the cut above lets a last candidate
+                    # through only if it completes the size.
+                    yield (*chosen, j), leading(v)
+                    continue
+                ech.accept(v)
+                chosen.append(j)
+                if exact_size is None:
+                    yield tuple(chosen), ech.last_pivot
+                stack.append((live, i))
+                live = ech.advance(live[i:])
+                i, end = 0, len(live)
         while chosen:
-            pop()
+            ech.pop()
+            chosen.pop()
+
+
+def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Boundary columns on the d-subsets that miss vertex 1, the last
+    comb(n-1, d) rows in lexicographic order."""
+    rows = cycle_space_dim(h.n, h.d)
+    return tuple(c[-rows:] for c in edge_columns(h))
 
 
 def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
@@ -156,12 +191,27 @@ def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
     return prod
 
 
+def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
+    """Spanning hypertrees of h counted by torsion order, read off as the
+    absolute last pivot on the cone columns."""
+    m = cycle_space_dim(h.n, h.d)
+    histogram: dict[int, int] = {}
+    if len(h.edges) < m:
+        return histogram
+    bound = comb(len(h.edges), m)
+    if bound > budget:
+        raise BudgetExceededError(bound, budget, "hypertree enumeration")
+    for _, last_pivot in _forest_nodes(_cone_columns(h), exact_size=m, shard=shard):
+        order = abs(last_pivot)
+        histogram[order] = histogram.get(order, 0) + 1
+    return histogram
+
+
 def enumerate_spanning_hyperforests(
     h: Hypergraph, shard: Optional[Shard] = None
 ) -> Iterator[SubcomplexSelection]:
     """Every edge subset with independent boundary columns, exactly once."""
-    cols = edge_columns(h)
-    for chosen, _ in _forest_nodes(cols, shard=shard):
+    for chosen, _ in _forest_nodes(_cone_columns(h), shard=shard):
         yield SubcomplexSelection(h, chosen)
 
 
@@ -176,7 +226,7 @@ def ehrhart(
     bound = 2 ** len(h.edges)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hyperforest enumeration")
-    cols = edge_columns(h)
+    cols = _cone_columns(h)
     coeffs = [0] * (cycle_space_dim(h.n, h.d) + 1)
     for chosen, last_pivot in _forest_nodes(cols, shard=shard):
         torsion = 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
@@ -190,17 +240,8 @@ def volume(
     h: Hypergraph, budget: int = DEFAULT_SUBSET_BUDGET, shard: Optional[Shard] = None
 ) -> int:
     """Normalized volume: total torsion over spanning hypertrees (0 if none)."""
-    m = cycle_space_dim(h.n, h.d)
-    if len(h.edges) < m:
-        return 0
-    bound = comb(len(h.edges), m)
-    if bound > budget:
-        raise BudgetExceededError(bound, budget, "hypertree enumeration")
-    cols = edge_columns(h)
-    total = 0
-    for chosen, last_pivot in _forest_nodes(cols, exact_size=m, shard=shard):
-        total += 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
-    return total
+    histogram = _hypertree_histogram(h, budget, shard)
+    return sum(order * count for order, count in histogram.items())
 
 
 def lattice_point_count(
@@ -218,16 +259,7 @@ def kalai_census(
     Groups them by torsion order; the squared-torsion total is the weighted
     hypertree count n**comb(n-2, d).
     """
-    h = complete_hypergraph(n, d)
-    m = cycle_space_dim(n, d)
-    bound = comb(len(h.edges), m)
-    if bound > budget:
-        raise BudgetExceededError(bound, budget, f"hypertree census for n={n}, d={d}")
-    cols = edge_columns(h)
-    histogram: dict[int, int] = {}
-    for chosen, last_pivot in _forest_nodes(cols, exact_size=m, shard=shard):
-        torsion = 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
-        histogram[torsion] = histogram.get(torsion, 0) + 1
+    histogram = _hypertree_histogram(complete_hypergraph(n, d), budget, shard)
     return CensusReport.from_histogram(histogram)
 
 

@@ -4,11 +4,14 @@ Smith normal form with unimodular witnesses, lattice saturation indices, and
 one incremental fraction-free (Bareiss) elimination kernel, `Echelon`, on
 which rank, primitive integer kernels, the hyperforest DFS of `census`, the
 support rows and signed circuits of `faces` and the equalities of `ratlp`
-all run.
-`IntMatrix.determinant` keeps its own Bareiss loop, because the oracle that
-checks the census (the Kirchhoff tree count) is built on it and should not
-share code with the path it checks. Everything runs on Python's
-arbitrary-precision integers; no floating point is used anywhere.
+all run. `Echelon.reduce` applies one Bareiss step per stored row;
+`Echelon.advance` applies the same step for the newest row only, to vectors
+already reduced against the others, which is how the census DFS carries its
+candidate columns down the tree.
+`IntMatrix.determinant` keeps its own Bareiss loop, because the oracles that
+check the census (the Kirchhoff tree count and the matrix-tree sum) are built
+on it and should not share code with the path they check. Everything runs
+on Python's arbitrary-precision integers; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -291,6 +294,12 @@ class Echelon:
     is exact, and its pivot value is, up to sign, the determinant of the
     accepted vectors restricted to the pivot positions. `reduce(v)` is the
     last pivot times v's rational remainder modulo the rows.
+
+    A caller that reduces the same vectors again after every push can carry
+    them instead: `advance` takes vectors already reduced against every row
+    but the newest and applies the newest row's step, the one `reduce`
+    applies for that row, so the results equal `reduce` of the originals;
+    `accept` stores such a reduced vector without reducing it again.
     """
 
     __slots__ = ("rows", "pivots", "values")
@@ -308,6 +317,8 @@ class Echelon:
         return self.values[-1] if self.values else 1
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
+        # The step of `advance`, inlined for each row: faces and ratlp call
+        # this in their inner loops.
         v = list(vec)
         prev = 1
         for w, pp, pv in zip(self.rows, self.pivots, self.values):
@@ -322,13 +333,39 @@ class Echelon:
     def push(self, vec: Sequence[int]) -> bool:
         """Store vec reduced, unless it lies in the span of the rows."""
         v = self.reduce(vec)
-        for pos, x in enumerate(v):
-            if x:
-                self.rows.append(v)
-                self.pivots.append(pos)
-                self.values.append(x)
-                return True
-        return False
+        if not any(v):
+            return False
+        self.accept(v)
+        return True
+
+    def accept(self, v: Sequence[int]) -> None:
+        """Store v, nonzero and already reduced against the rows, as the
+        newest row."""
+        pivot = leading(v)
+        self.rows.append(v)
+        self.pivots.append(v.index(pivot))
+        self.values.append(pivot)
+
+    def advance(
+        self, pending: Sequence[tuple[int, Sequence[int]]]
+    ) -> list[tuple[int, Sequence[int]]]:
+        """Carry (tag, vector) pairs, each vector reduced against every row
+        but the newest, through the newest row's step. Pairs whose vector
+        becomes zero, now in the span of the rows, are dropped; the others
+        keep their order."""
+        w, pp, pv = self.rows[-1], self.pivots[-1], self.values[-1]
+        prev = self.values[-2] if len(self.values) > 1 else 1
+        out = []
+        for tag, v in pending:
+            coef = v[pp]
+            if coef:
+                v = [(pv * a - coef * b) // prev for a, b in zip(v, w)]
+                if not any(v):
+                    continue
+            elif pv != prev:
+                v = [pv * a // prev for a in v]
+            out.append((tag, v))
+        return out
 
     def pop(self) -> None:
         self.rows.pop()
@@ -344,6 +381,12 @@ class Echelon:
             x[pc] = 0
             x[pc] = Fraction(-sum(a * b for a, b in zip(row, x) if a), row[pc])
         return x
+
+
+def leading(v: Sequence[int]) -> int:
+    """The first nonzero entry of v: for a reduced vector, the pivot value
+    `Echelon.accept` would store it with."""
+    return next(filter(None, v))
 
 
 def primitive(values: Sequence) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 """Independent brute-force verifiers.
 
 Each oracle recomputes a headline quantity by an algorithm unrelated to the
-one used in the main modules: tree counts by Laplacian determinant, lattice
+one used in the main modules: tree counts by Laplacian determinant (for
+graphs, and by the simplicial matrix-tree theorem for hypergraphs), lattice
 points by direct membership scanning, Ehrhart coefficients by interpolation,
 vertices by exhaustive proper-pattern scanning and by Zaslavsky's region
 count, and torsion by an alternating extended-gcd elimination that shares no
@@ -17,7 +18,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .census import ehrhart
-from .complexes import Hypergraph, boundary_matrix, cycle_space_dim, edge_columns
+from .complexes import Hypergraph, boundary_matrix, cycle_space_dim, edge_columns, simplex_index
 from .errors import BudgetExceededError
 from .exactalg import IntMatrix
 from .faces import SignPattern, validity_check
@@ -55,6 +56,20 @@ def kirchhoff_tree_count(g: Hypergraph) -> int:
         lap[j - 1][i - 1] -= 1
     minor = [row[: n - 1] for row in lap[: n - 1]]
     return IntMatrix.from_rows(minor, cols=n - 1).determinant()
+
+
+def matrix_tree_sum(h: Hypergraph) -> int:
+    """Sum over the spanning hypertrees of their squared torsion orders.
+
+    By the simplicial matrix-tree theorem (Duval, Klivans and Martin, 2009),
+    with Cauchy-Binet, this is the determinant of the up-Laplacian (boundary
+    times its transpose) on the (d-1)-faces that miss vertex 1. For a graph
+    it is the Kirchhoff cofactor, the spanning-tree count.
+    """
+    b = boundary_matrix(h)
+    faces = [b.row(r) for r, face in enumerate(simplex_index(h.n, h.d)) if 1 not in face]
+    laplacian = [[sum(x * y for x, y in zip(f, g)) for g in faces] for f in faces]
+    return IntMatrix.from_rows(laplacian, cols=len(faces)).determinant()
 
 
 def _row_parametrization(cols, ambient: int, widths):

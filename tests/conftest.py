@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -54,3 +55,9 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 7) -> Hypergr
         a, b = rng.sample(range(1, n + 1), 2)
         edges.add(tuple(sorted((a, b))))
     return Hypergraph.from_edges(n, 1, edges)
+
+
+def random_hypergraph(rng: random.Random, n: int, d: int, num_edges: int) -> Hypergraph:
+    """num_edges distinct random (d+1)-subsets of 1..n."""
+    pool = list(combinations(range(1, n + 1), d + 1))
+    return Hypergraph.from_edges(n, d, rng.sample(pool, num_edges))

@@ -23,8 +23,17 @@ from acyclo import (
     torsion_order,
     volume,
 )
-from acyclo.census import shard_prefixes
-from conftest import random_connected_graph
+from acyclo.census import (
+    DEFAULT_SUBSET_BUDGET,
+    _cone_columns,
+    _forest_nodes,
+    _hypertree_histogram,
+    shard_prefixes,
+)
+from acyclo.complexes import edge_columns
+from acyclo.exactalg import Echelon
+from acyclo.oracle import matrix_tree_sum, torsion_rowreduce
+from conftest import random_connected_graph, random_hypergraph
 
 
 def brute_force_forests(h):
@@ -236,3 +245,126 @@ def test_shard_prefixes_partition_the_prefixes(num_edges, total):
     merged = sorted(p for shard in shards for p in shard)
     assert merged == sorted(product((False, True), repeat=plen))
     assert all(len(set(shard)) == len(shard) for shard in shards)
+
+
+def reference_forest_nodes(cols, exact_size=None, shard=None):
+    """The DFS as a recursion that pushes each column afresh into an
+    Echelon and pops it on backtrack."""
+    ech = Echelon()
+    chosen = []
+    out = []
+
+    def rec(start):
+        if exact_size is None or len(chosen) == exact_size:
+            out.append((tuple(chosen), ech.last_pivot))
+            if exact_size is not None:
+                return
+        for j in range(start, len(cols)):
+            if exact_size is not None and len(chosen) + len(cols) - j < exact_size:
+                break
+            if ech.push(cols[j]):
+                chosen.append(j)
+                rec(j + 1)
+                ech.pop()
+                chosen.pop()
+
+    for prefix in [()] if shard is None else shard_prefixes(len(cols), shard):
+        ok = True
+        for j, included in enumerate(prefix):
+            if included:
+                ok = ok and ech.push(cols[j])
+                if ok:
+                    chosen.append(j)
+        if ok:
+            rec(len(prefix))
+        while chosen:
+            ech.pop()
+            chosen.pop()
+    return out
+
+
+STREAM_INPUTS = {
+    "A(4,2)": complete_hypergraph(4, 2),
+    "A(5,1)": complete_hypergraph(5, 1),
+    "A(5,2)": complete_hypergraph(5, 2),
+    "A(6,3)": complete_hypergraph(6, 3),
+    "random-3-uniform-a": random_hypergraph(random.Random(1), 6, 2, 13),
+    "random-3-uniform-b": random_hypergraph(random.Random(15), 7, 2, 16),
+}
+
+
+@pytest.mark.parametrize("shard", [None, (0, 1), (2, 3), (5, 8)])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", STREAM_INPUTS)
+def test_forest_stream_matches_the_recursive_echelon_dfs(name, exact, shard):
+    h = STREAM_INPUTS[name]
+    exact_size = cycle_space_dim(h.n, h.d) if exact else None
+    for cols in (_cone_columns(h), edge_columns(h)) if shard is None else (_cone_columns(h),):
+        got = list(_forest_nodes(cols, exact_size=exact_size, shard=shard))
+        assert got == reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+        assert got or shard
+
+
+def test_forest_stream_of_zero_and_dependent_columns():
+    cols = [(0, 0), (1, 2), (2, 4), (0, 0), (0, 3), (1, 1)]
+    for exact_size in (None, 0, 1, 2, 3):
+        for shard in (None, (0, 2), (1, 2), (3, 4), (6, 8)):
+            want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+            assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
+    assert list(_forest_nodes([])) == [((), 1)]
+
+
+def cone_hypertrees(h):
+    """(chosen, |last pivot|) for every spanning hypertree, on the cone rows."""
+    m = cycle_space_dim(h.n, h.d)
+    return [(chosen, abs(p)) for chosen, p in _forest_nodes(_cone_columns(h), exact_size=m)]
+
+
+def test_cone_pivot_is_the_torsion_order_on_a62(k62):
+    trees = cone_hypertrees(k62)
+    assert len(trees) == 46620
+    torsion = [(chosen, order) for chosen, order in trees if order != 1]
+    assert [order for _, order in torsion] == [2] * 12
+    others = [t for t in trees if t[1] == 1]
+    for chosen, order in torsion + random.Random(62).sample(others, 300):
+        assert torsion_rowreduce(SubcomplexSelection(k62, chosen)) == order
+
+
+@pytest.mark.parametrize(
+    "n, d, num_edges, seed", [(6, 2, 13, 2), (7, 2, 18, 5), (6, 3, 12, 3), (7, 3, 23, 1)]
+)
+def test_cone_pivot_is_the_torsion_order_on_random_hypergraphs(n, d, num_edges, seed):
+    h = random_hypergraph(random.Random(seed), n, d, num_edges)
+    trees = cone_hypertrees(h)
+    assert trees
+    for chosen, order in random.Random(seed).sample(trees, min(len(trees), 150)):
+        assert torsion_rowreduce(SubcomplexSelection(h, chosen)) == order
+
+
+def squared_torsion_total(h):
+    histogram = _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None)
+    return sum(order * order * count for order, count in histogram.items())
+
+
+def test_matrix_tree_sum_equals_the_census():
+    for (n, d), want in [((6, 2), 6**6), ((7, 4), 7**5)]:
+        h = complete_hypergraph(n, d)
+        assert matrix_tree_sum(h) == squared_torsion_total(h) == want
+    rng = random.Random(2009)
+    sizes = {(6, 1): 8, (7, 1): 10, (6, 2): 13, (7, 2): 18, (6, 3): 12, (7, 3): 23}
+    nonzero = 0
+    for i in range(20):
+        n, d = 6 + i % 2, 1 + i // 2 % 3
+        h = random_hypergraph(rng, n, d, sizes[n, d])
+        total = matrix_tree_sum(h)
+        assert total == squared_torsion_total(h)
+        nonzero += total > 0
+    assert nonzero >= 10
+
+
+def test_matrix_tree_sum_equals_kirchhoff_on_graphs():
+    rng = random.Random(1847)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        assert matrix_tree_sum(g) == kirchhoff_tree_count(g) == volume(g)
+    assert matrix_tree_sum(Hypergraph(4, 1, ((1, 2), (3, 4)))) == 0

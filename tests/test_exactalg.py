@@ -213,6 +213,27 @@ def test_echelon_last_pivot_is_the_determinant(rows):
         assert not all(accepted)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(low_rank_matrices(), matrices.map(IntMatrix.from_rows)), matrices)
+def test_echelon_advance_steps_vectors_to_their_reduction(a, extra):
+    # Each push is followed by one advance of the carried vectors: after
+    # every push they equal `reduce` of the originals, or are dropped once
+    # that reduction is zero. `accept` of a reduction stores what `push` does.
+    vectors = [(vec + [0] * a.cols)[: a.cols] for vec in extra] + [list(a.row(0))]
+    ech, twin = Echelon(), Echelon()
+    carried = [(k, v) for k, v in enumerate(vectors) if any(v)]
+    for i in range(a.rows):
+        reduced = twin.reduce(a.row(i))
+        if not ech.push(a.row(i)):
+            assert not any(reduced)
+            continue
+        twin.accept(reduced)
+        assert (twin.rows, twin.pivots, twin.values) == (ech.rows, ech.pivots, ech.values)
+        carried = ech.advance(carried)
+        want = [(k, ech.reduce(v)) for k, v in enumerate(vectors)]
+        assert carried == [(k, r) for k, r in want if any(r)]
+
+
 def test_primitive():
     assert primitive([Fraction(1, 2), 0, Fraction(-3, 4)]) == (2, 0, -3)
     assert primitive([0, -4, 6]) == (0, -2, 3)
