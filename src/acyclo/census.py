@@ -1,14 +1,14 @@
 """Spanning hyperforest/hypertree enumeration and derived zonotope statistics.
 
 The enumerator walks edge subsets in lexicographic depth-first order, on an
-explicit stack. Each level keeps its remaining candidate columns already
-reduced, by fraction-free (Bareiss) elimination in an `exactalg.Echelon`,
-against the chosen ones: choosing a column applies one elimination step to
-each later candidate, and a candidate that reduces to zero is dependent in
-the whole subtree, so it is dropped there. The last pivot of a full reduction
-equals (up to sign) the determinant of the pivot submatrix of the chosen
-columns; when it is +-1 the column lattice is saturated and the torsion order
-is 1 without a Smith-form call.
+explicit stack. Each level keeps its remaining candidate columns reduced, by
+fraction-free (Bareiss) elimination, against the chosen ones, each packed
+into one int of signed digits (`exactalg.pack`): choosing a column applies
+one elimination step to each later candidate, one big-int step per column,
+and a candidate that reduces to zero is dependent in the whole subtree, so
+it is dropped there. The last pivot equals (up to sign) the determinant of
+the pivot submatrix of the chosen columns; when it is +-1 the column lattice
+is saturated and the torsion order is 1 without a Smith-form call.
 
 The columns are the boundary columns restricted to the d-subsets that miss
 vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
@@ -21,8 +21,10 @@ torsion order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from math import comb, prod
 from typing import Iterator, Optional
 
 from .complexes import (
@@ -32,7 +34,7 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import Echelon, _invariant_factors, leading
+from .exactalg import _invariant_factors, lead, pack, pack_width
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -78,9 +80,8 @@ class CensusReport:
         return cls(count, weighted, squared, dict(sorted(histogram.items())))
 
     def merged(self, other: "CensusReport") -> "CensusReport":
-        hist = dict(self.torsion_histogram)
-        for order, c in other.torsion_histogram.items():
-            hist[order] = hist.get(order, 0) + c
+        hist = Counter(self.torsion_histogram)
+        hist.update(other.torsion_histogram)
         return CensusReport.from_histogram(hist)
 
     def is_consistent(self) -> bool:
@@ -88,10 +89,7 @@ class CensusReport:
 
 
 def merge_census_reports(reports) -> CensusReport:
-    merged = CensusReport.from_histogram({})
-    for r in reports:
-        merged = merged.merged(r)
-    return merged
+    return reduce(CensusReport.merged, reports, CensusReport.from_histogram({}))
 
 
 def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
@@ -103,9 +101,8 @@ def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
     """
     index, total = shard
     plen = min(num_edges, max(total - 1, 0).bit_length())
-    for mask in range(1 << plen):
-        if mask % total == index:
-            yield tuple(bool(mask >> j & 1) for j in range(plen))
+    for mask in range(index, 1 << plen, total):
+        yield tuple(bool(mask >> j & 1) for j in range(plen))
 
 
 def _forest_nodes(
@@ -118,29 +115,51 @@ def _forest_nodes(
     only subsets that start with one of its `shard_prefixes` are visited, so
     shards partition the stream.
 
-    `live` holds the current node's candidates: (edge, column reduced
+    `live` holds the current node's candidates: (edge, packed column reduced
     against the chosen ones) for each later edge independent of them, in
     order; `i` is the next one to try. The stack holds those of the nodes
     above.
     """
-    ech = Echelon()
+    b = pack_width(cols)
+    half, mask = 1 << b - 1, (1 << b) - 1
+    values = [1]  # the pivot of each chosen column, after a 1 for the root
     chosen: list[int] = []
+
+    def carry(pending, w):
+        # Store w as the newest row and apply its Bareiss step to the pending
+        # candidates; coef is their centred digit at w's pivot (`digit`).
+        prev, pv = values[-1], lead(w, b)
+        values.append(pv)
+        shift = ((w & -w).bit_length() - 1) // b * b
+        low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
+        out = []
+        for j, x in pending:
+            coef = (x + low >> shift & mask) - half
+            if coef:
+                x = (pv * x - coef * w) // prev
+                if x:
+                    out.append((j, x))
+            elif pv != prev:
+                out.append((j, pv * x // prev))
+            else:
+                out.append((j, x))
+        return out
+
     floor = exact_size or 0  # the size every visited subtree must reach
     prefixes = [()] if shard is None else shard_prefixes(len(cols), shard)
     for prefix in prefixes:
-        live = [(j, c) for j, c in enumerate(cols) if any(c)]
+        live = [(j, pack(c, b)) for j, c in enumerate(cols) if any(c)]
         for j, included in enumerate(prefix):
             head = live[0] if live and live[0][0] == j else None
             live = live[1:] if head else live
             if included:
                 if head is None:  # dependent: the prefix heads no subset
                     break
-                ech.accept(head[1])
                 chosen.append(j)
-                live = ech.advance(live)
+                live = carry(live, head[1])
         else:
             if exact_size is None or len(chosen) == exact_size:
-                yield tuple(chosen), ech.last_pivot
+                yield tuple(chosen), values[-1]
             if exact_size is not None and len(chosen) >= exact_size:
                 live = []
             stack = []
@@ -151,27 +170,24 @@ def _forest_nodes(
                         break
                     live, i = stack.pop()
                     end = len(live)
-                    ech.pop()
+                    values.pop()
                     chosen.pop()
                     continue
-                j, v = live[i]
+                j, x = live[i]
                 i += 1
                 if len(chosen) + 1 == exact_size or i == end:
                     # A leaf needs no reduced candidates, only its pivot. With
                     # exact_size set, the cut above lets a last candidate
                     # through only if it completes the size.
-                    yield (*chosen, j), leading(v)
+                    yield (*chosen, j), lead(x, b)
                     continue
-                ech.accept(v)
                 chosen.append(j)
-                if exact_size is None:
-                    yield tuple(chosen), ech.last_pivot
                 stack.append((live, i))
-                live = ech.advance(live[i:])
+                live = carry(live[i:], x)
+                if exact_size is None:
+                    yield tuple(chosen), values[-1]
                 i, end = 0, len(live)
-        while chosen:
-            ech.pop()
-            chosen.pop()
+        del values[1:], chosen[:]
 
 
 def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -182,29 +198,20 @@ def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
-    ambient = len(cols[0])
-    rows = [[cols[j][r] for j in chosen] for r in range(ambient)]
-    prod = 1
-    for f in _invariant_factors(rows, ambient, len(chosen)):
-        if f:
-            prod *= f
-    return prod
+    rows = [[cols[j][r] for j in chosen] for r in range(len(cols[0]))]
+    return prod(filter(None, _invariant_factors(rows, len(rows), len(chosen))))
 
 
 def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
     """Spanning hypertrees of h counted by torsion order, read off as the
     absolute last pivot on the cone columns."""
     m = cycle_space_dim(h.n, h.d)
-    histogram: dict[int, int] = {}
     if len(h.edges) < m:
-        return histogram
+        return {}
     bound = comb(len(h.edges), m)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hypertree enumeration")
-    for _, last_pivot in _forest_nodes(_cone_columns(h), exact_size=m, shard=shard):
-        order = abs(last_pivot)
-        histogram[order] = histogram.get(order, 0) + 1
-    return histogram
+    return Counter(abs(p) for _, p in _forest_nodes(_cone_columns(h), exact_size=m, shard=shard))
 
 
 def enumerate_spanning_hyperforests(
@@ -229,8 +236,7 @@ def ehrhart(
     cols = _cone_columns(h)
     coeffs = [0] * (cycle_space_dim(h.n, h.d) + 1)
     for chosen, last_pivot in _forest_nodes(cols, shard=shard):
-        torsion = 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
-        coeffs[len(chosen)] += torsion
+        coeffs[len(chosen)] += 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return EhrhartPolynomial(tuple(coeffs))
@@ -240,8 +246,7 @@ def volume(
     h: Hypergraph, budget: int = DEFAULT_SUBSET_BUDGET, shard: Optional[Shard] = None
 ) -> int:
     """Normalized volume: total torsion over spanning hypertrees (0 if none)."""
-    histogram = _hypertree_histogram(h, budget, shard)
-    return sum(order * count for order, count in histogram.items())
+    return sum(order * count for order, count in _hypertree_histogram(h, budget, shard).items())
 
 
 def lattice_point_count(
@@ -259,8 +264,7 @@ def kalai_census(
     Groups them by torsion order; the squared-torsion total is the weighted
     hypertree count n**comb(n-2, d).
     """
-    histogram = _hypertree_histogram(complete_hypergraph(n, d), budget, shard)
-    return CensusReport.from_histogram(histogram)
+    return CensusReport.from_histogram(_hypertree_histogram(complete_hypergraph(n, d), budget, shard))
 
 
 def duality_volume_check(n: int, d: int, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, int]:

@@ -4,7 +4,8 @@ Grammar, with SRC = (--complete N D | --input PATH) and F = json|csv|human:
     acyclo volume|ehrhart|lattice-points|vertices SRC [--format F] [--budget B]
            [--shard I/M | --oracle]
     acyclo faces|facets|oracle SRC [--format F] [--budget B]
-    acyclo kalai-census --complete N D [--format F] [--budget B] [--shard I/M]
+    acyclo kalai-census --complete N D [--format F] [--budget B]
+           [--shard I/M | --oracle]
     acyclo duality-check --complete N D [--format F] [--budget B]
     acyclo tournament-check SRC --signs S [--format F]
 
@@ -215,6 +216,19 @@ def _lattice_points_check(args, h: Hypergraph, report: dict) -> Optional[oracle.
         return oracle.OracleReport.compare("lattice points at t=1", count, oracle.lattice_points_direct(h, 1))
 
 
+def _matrix_tree_check(args, h: Optional[Hypergraph], report: dict) -> Optional[oracle.OracleReport]:
+    # Without a census in the report, one runs if its comb(edges, rank) subsets fit the budget.
+    h = complete_hypergraph(*args.complete) if h is None else h
+    budget = census.DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
+    if "kalai_sum" in report:
+        kalai_sum = report["kalai_sum"]
+    elif comb(len(h.edges), cycle_space_dim(h.n, h.d)) <= budget:
+        kalai_sum = sum(o * o * c for o, c in census._hypertree_histogram(h, budget, None).items())
+    else:
+        return None
+    return oracle.OracleReport.compare("kalai sum vs matrix-tree", kalai_sum, oracle.matrix_tree_sum(h))
+
+
 def _vertex_patterns_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     if len(h.edges) <= oracle.DEFAULT_PATTERN_CAP:
         if "vertices" in report:
@@ -352,7 +366,9 @@ COMMANDS = {
     "volume": Command(_BUDGETED + ("--shard", "--oracle"), _volume, (_kirchhoff_check, _ehrhart_fit_check)),
     "ehrhart": Command(_BUDGETED + ("--shard", "--oracle"), _ehrhart, (_ehrhart_fit_check,)),
     "lattice-points": Command(_BUDGETED + ("--shard", "--oracle"), _lattice_points, (_lattice_points_check,)),
-    "kalai-census": Command(("--complete", "--format", "--budget", "--shard"), _kalai_census),
+    "kalai-census": Command(
+        ("--complete", "--format", "--budget", "--shard", "--oracle"), _kalai_census, (_matrix_tree_check,)
+    ),
     "duality-check": Command(("--complete", "--format", "--budget"), _duality_check),
     "vertices": Command(_BUDGETED + ("--shard", "--oracle"), _vertices, (_vertex_patterns_check,)),
     "faces": Command(_BUDGETED, _faces),
@@ -448,15 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_signs(argv: list[str]) -> list[str]:
     """Rewrite `--signs S` as `--signs=S`, so that argparse does not take a
     pattern starting with '-' for an option."""
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--signs" and i + 1 < len(argv):
-            out.append(f"--signs={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--signs" else None
+        out.append(arg if value is None else f"--signs={value}")
     return out
 
 

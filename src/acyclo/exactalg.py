@@ -2,12 +2,12 @@
 
 Smith normal form with unimodular witnesses, lattice saturation indices, and
 one incremental fraction-free (Bareiss) elimination kernel, `Echelon`, on
-which rank, primitive integer kernels, the hyperforest DFS of `census`, the
-support rows and signed circuits of `faces` and the equalities of `ratlp`
-all run. `Echelon.reduce` applies one Bareiss step per stored row;
-`Echelon.advance` applies the same step for the newest row only, to vectors
-already reduced against the others, which is how the census DFS carries its
-candidate columns down the tree.
+which rank, primitive integer kernels, the support rows and signed circuits
+of `faces` and the equalities of `ratlp` all run. `pack`, `digit` and `lead`
+keep an integer vector as one Python int of signed base-2**b digits,
+`pack_width` choosing b from the Hadamard bound of the vectors so that every
+Bareiss minor of them fits a digit: the hyperforest DFS of `census` carries
+its candidate columns that way, one big-int Bareiss step per column.
 `IntMatrix.determinant` keeps its own Bareiss loop, because the oracles that
 check the census (the Kirchhoff tree count and the matrix-tree sum) are built
 on it and should not share code with the path they check. Everything runs
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 # Exact rational carrier. Fraction already keeps denominators positive and in
@@ -294,12 +294,6 @@ class Echelon:
     is exact, and its pivot value is, up to sign, the determinant of the
     accepted vectors restricted to the pivot positions. `reduce(v)` is the
     last pivot times v's rational remainder modulo the rows.
-
-    A caller that reduces the same vectors again after every push can carry
-    them instead: `advance` takes vectors already reduced against every row
-    but the newest and applies the newest row's step, the one `reduce`
-    applies for that row, so the results equal `reduce` of the originals;
-    `accept` stores such a reduced vector without reducing it again.
     """
 
     __slots__ = ("rows", "pivots", "values")
@@ -317,8 +311,6 @@ class Echelon:
         return self.values[-1] if self.values else 1
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
-        # The step of `advance`, inlined for each row: faces and ratlp call
-        # this in their inner loops.
         v = list(vec)
         prev = 1
         for w, pp, pv in zip(self.rows, self.pivots, self.values):
@@ -333,39 +325,13 @@ class Echelon:
     def push(self, vec: Sequence[int]) -> bool:
         """Store vec reduced, unless it lies in the span of the rows."""
         v = self.reduce(vec)
-        if not any(v):
-            return False
-        self.accept(v)
-        return True
-
-    def accept(self, v: Sequence[int]) -> None:
-        """Store v, nonzero and already reduced against the rows, as the
-        newest row."""
-        pivot = leading(v)
-        self.rows.append(v)
-        self.pivots.append(v.index(pivot))
-        self.values.append(pivot)
-
-    def advance(
-        self, pending: Sequence[tuple[int, Sequence[int]]]
-    ) -> list[tuple[int, Sequence[int]]]:
-        """Carry (tag, vector) pairs, each vector reduced against every row
-        but the newest, through the newest row's step. Pairs whose vector
-        becomes zero, now in the span of the rows, are dropped; the others
-        keep their order."""
-        w, pp, pv = self.rows[-1], self.pivots[-1], self.values[-1]
-        prev = self.values[-2] if len(self.values) > 1 else 1
-        out = []
-        for tag, v in pending:
-            coef = v[pp]
-            if coef:
-                v = [(pv * a - coef * b) // prev for a, b in zip(v, w)]
-                if not any(v):
-                    continue
-            elif pv != prev:
-                v = [pv * a // prev for a in v]
-            out.append((tag, v))
-        return out
+        for pos, x in enumerate(v):
+            if x:
+                self.rows.append(v)
+                self.pivots.append(pos)
+                self.values.append(x)
+                return True
+        return False
 
     def pop(self) -> None:
         self.rows.pop()
@@ -383,10 +349,32 @@ class Echelon:
         return x
 
 
-def leading(v: Sequence[int]) -> int:
-    """The first nonzero entry of v: for a reduced vector, the pivot value
-    `Echelon.accept` would store it with."""
-    return next(filter(None, v))
+def pack_width(vectors: Sequence[Sequence[int]]) -> int:
+    """Digit width b for `pack`: H's bit length plus 2, so 2**(b-1) > H, where
+    H = isqrt(product of the r largest squared norms) + 1 bounds every minor
+    of the vectors (Hadamard), r being the largest possible rank."""
+    norms = sorted((sum(a * a for a in v) for v in vectors if any(v)), reverse=True)
+    return (isqrt(prod(norms[: len(vectors[0]) if vectors else 0])) + 1).bit_length() + 2
+
+
+def pack(v: Sequence[int], b: int) -> int:
+    """The int sum of v[i] << (b*i): linear in v, so a Bareiss step on the
+    packed ints is the step on the vectors."""
+    return sum(a << b * i for i, a in enumerate(v))
+
+
+def digit(x: int, b: int, p: int) -> int:
+    """Digit p of packed x, centred in [-2**(b-1), 2**(b-1)): half = 2**(b-1)
+    added to digits 0..p makes them nonnegative, so none borrows from p."""
+    half, mask = 1 << b - 1, (1 << b) - 1
+    return (x + half * ((1 << b * p + b) - 1) // mask >> b * p & mask) - half
+
+
+def lead(x: int, b: int) -> int:
+    """The lowest nonzero digit of packed x != 0, at its lowest set bit: the
+    pivot of a reduced vector. No digit below it needs lifting."""
+    half = 1 << b - 1
+    return ((x >> ((x & -x).bit_length() - 1) // b * b) + half & (1 << b) - 1) - half
 
 
 def primitive(values: Sequence) -> tuple[int, ...]:
@@ -441,8 +429,4 @@ def saturation_index(a: IntMatrix) -> int:
     Equals the product of the nonzero invariant factors; 1 for any matrix
     whose columns generate a saturated (e.g. unimodular) lattice.
     """
-    prod = 1
-    for f in _invariant_factors(a.row_lists(), a.rows, a.cols):
-        if f:
-            prod *= f
-    return prod
+    return prod(filter(None, _invariant_factors(a.row_lists(), a.rows, a.cols)))

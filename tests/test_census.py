@@ -9,6 +9,7 @@ from acyclo import (
     CensusReport,
     Hypergraph,
     SubcomplexSelection,
+    census,
     complete_hypergraph,
     cycle_space_dim,
     duality_volume_check,
@@ -312,6 +313,51 @@ def test_forest_stream_of_zero_and_dependent_columns():
             want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
             assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
     assert list(_forest_nodes([])) == [((), 1)]
+
+
+def test_forest_stream_of_the_empty_column_list():
+    for exact_size in (None, 0, 1):
+        for shard in (None, (0, 1), (0, 2), (1, 2)):
+            want = reference_forest_nodes([], exact_size=exact_size, shard=shard)
+            assert list(_forest_nodes([], exact_size=exact_size, shard=shard)) == want
+    assert list(_forest_nodes([], exact_size=1)) == []
+
+
+def sylvester_hadamard_columns():
+    rows = [[1]]
+    for _ in range(3):
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return [tuple(r[j] for r in rows) for j in range(8)]
+
+
+def test_forest_stream_at_the_hadamard_bound(monkeypatch):
+    # The 8 columns' determinant, 4096, meets the Hadamard bound, so the
+    # packed digits must hold it: at 13 bits (half = 4096, one bit short of
+    # a digit that holds +4096) the stream goes wrong.
+    cols = sylvester_hadamard_columns()
+    for exact_size in (None, 8):
+        for shard in (None, (1, 4)):
+            want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+            assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
+    assert list(_forest_nodes(cols, exact_size=8)) == [(tuple(range(8)), 4096)]
+    monkeypatch.setattr(census, "pack_width", lambda vectors: (4096).bit_length())
+    assert list(_forest_nodes(cols)) != reference_forest_nodes(cols)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9])
+def test_forest_stream_of_large_entries_and_zeros(seed):
+    rng = random.Random(seed)
+    rows, num_cols = rng.randint(3, 5), rng.randint(5, 8)
+
+    def entry():
+        return rng.choice((0, 0, rng.randint(-10**9, 10**9), rng.choice((-10**9, 10**9))))
+
+    cols = [tuple(entry() for _ in range(rows)) for _ in range(num_cols)]
+    cols[rng.randrange(num_cols)] = (0,) * rows
+    for exact_size in (None, rows - 1, rows):
+        for shard in (None, (0, 1), (2, 3), (5, 8)):
+            want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+            assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
 
 
 def cone_hypertrees(h):

@@ -307,7 +307,7 @@ def test_shard_with_oracle_rejected(capsys):
     [
         ["faces", "--complete", "4", "2"],
         ["facets", "--complete", "4", "2"],
-        ["kalai-census", "--complete", "4", "2"],
+        ["kalai-census", "--complete", "4", "2", "--shard", "0/2"],
         ["duality-check", "--complete", "5", "1"],
         ["tournament-check", "--complete", "3", "1", "--signs", "+++"],
         ["oracle", "--complete", "4", "2"],
@@ -466,4 +466,29 @@ def test_vertex_oracle_counts_regions_above_the_pattern_cap(capsys):
 def test_region_count_respects_the_vertex_budget(capsys):
     code, out = run_cli(["oracle", "--complete", "6", "1", "--budget", str(2 ** 15 - 1)], capsys)
     assert code == 0
-    assert [r["quantity"] for r in json.loads(out)["oracle_reports"]] == ["volume vs kirchhoff"]
+    assert [r["quantity"] for r in json.loads(out)["oracle_reports"]] == [
+        "volume vs kirchhoff",
+        "kalai sum vs matrix-tree",
+    ]
+
+
+@pytest.mark.parametrize("n, d, total", [(5, 2, 5**3), (6, 2, 6**6)])
+def test_kalai_census_oracle_agrees_with_the_matrix_tree_sum(n, d, total, capsys):
+    code, out = run_cli(["kalai-census", "--complete", str(n), str(d), "--oracle"], capsys)
+    assert code == 0
+    (report,) = json.loads(out)["oracle_reports"]
+    assert report == {"quantity": "kalai sum vs matrix-tree", "theorem": str(total), "oracle": str(total),
+                      "agreement": True}
+
+
+@pytest.mark.parametrize(
+    "argv", [["kalai-census", "--complete", "5", "2", "--oracle"], ["oracle", "--complete", "5", "2"]]
+)
+def test_matrix_tree_check_exits_4_on_a_wrong_census(argv, monkeypatch, capsys):
+    monkeypatch.setattr(census, "_hypertree_histogram", lambda h, budget, shard: {1: 124})
+    code, out = run_cli(argv, capsys)
+    assert code == 4
+    reports = {r["quantity"]: r for r in json.loads(out)["oracle_reports"]}
+    assert reports["kalai sum vs matrix-tree"] == {"quantity": "kalai sum vs matrix-tree", "theorem": "124",
+                                                   "oracle": "125", "agreement": False}
+    assert all(r["agreement"] for q, r in reports.items() if q != "kalai sum vs matrix-tree")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from acyclo import (
     saturation_index,
     snf,
 )
-from acyclo.exactalg import Echelon, primitive
+from acyclo.exactalg import Echelon, digit, lead, pack, pack_width, primitive
 from acyclo.oracle import torsion_rowreduce
 
 from conftest import RP2_TRIANGLES
@@ -213,25 +214,58 @@ def test_echelon_last_pivot_is_the_determinant(rows):
         assert not all(accepted)
 
 
+def unpack(x, b, length):
+    return [digit(x, b, p) for p in range(length)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(low_rank_matrices(), matrices.map(IntMatrix.from_rows)), matrices)
-def test_echelon_advance_steps_vectors_to_their_reduction(a, extra):
-    # Each push is followed by one advance of the carried vectors: after
-    # every push they equal `reduce` of the originals, or are dropped once
-    # that reduction is zero. `accept` of a reduction stores what `push` does.
+def test_packed_bareiss_step_carries_vectors_to_their_reduction(a, extra):
+    # The census DFS's step on packed ints: after each push, every carried
+    # vector gets the newest row's Bareiss step, coef being its digit at the
+    # row's pivot. Unpacked, the carried vectors equal `reduce` of the
+    # originals, and are dropped once that reduction is zero.
     vectors = [(vec + [0] * a.cols)[: a.cols] for vec in extra] + [list(a.row(0))]
-    ech, twin = Echelon(), Echelon()
-    carried = [(k, v) for k, v in enumerate(vectors) if any(v)]
+    b = pack_width([list(a.row(i)) for i in range(a.rows)] + vectors)
+    ech = Echelon()
+    carried = [(k, pack(v, b)) for k, v in enumerate(vectors) if any(v)]
     for i in range(a.rows):
-        reduced = twin.reduce(a.row(i))
         if not ech.push(a.row(i)):
-            assert not any(reduced)
             continue
-        twin.accept(reduced)
-        assert (twin.rows, twin.pivots, twin.values) == (ech.rows, ech.pivots, ech.values)
-        carried = ech.advance(carried)
+        w, pp, pv = pack(ech.rows[-1], b), ech.pivots[-1], ech.values[-1]
+        prev = ech.values[-2] if len(ech) > 1 else 1
+        assert lead(w, b) == pv
+        stepped = []
+        for k, x in carried:
+            coef = digit(x, b, pp)
+            x = (pv * x - coef * w) // prev if coef else pv * x // prev
+            if x:
+                stepped.append((k, x))
+        carried = stepped
         want = [(k, ech.reduce(v)) for k, v in enumerate(vectors)]
-        assert carried == [(k, r) for k, r in want if any(r)]
+        assert [(k, unpack(x, b, a.cols)) for k, x in carried] == [(k, r) for k, r in want if any(r)]
+
+
+@pytest.mark.parametrize("b", [2, 3, 8, 33])
+def test_pack_round_trips_the_extreme_digits(b):
+    top = (1 << b - 1) - 1
+    for v in ([top, -top, 0, top], [-top, -top, -top], [0, 0, top], [1, -1, 0, 0, -top]):
+        x = pack(v, b)
+        assert unpack(x, b, len(v)) == v
+        assert lead(x, b) == next(a for a in v if a)
+    assert pack([], b) == 0 and unpack(0, b, 3) == [0, 0, 0]
+
+
+def test_pack_width_bounds_every_minor():
+    # Sylvester-Hadamard of order 8: |det| = 8**4 = 4096 meets the Hadamard
+    # bound, and 2**(b-1) must exceed it.
+    rows = [[1]]
+    for _ in range(3):
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    assert abs(IntMatrix.from_rows(rows).determinant()) == 4096
+    b = pack_width(rows)
+    assert 1 << b - 1 > 4096
+    assert pack_width([[0, 0], [0, 0]]) == pack_width([]) == 4  # H = 2
 
 
 def test_primitive():
