@@ -141,22 +141,15 @@ def boundary_column(n: int, vertices: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def boundary_matrix(h: Hypergraph) -> IntMatrix:
-    """Top boundary map: rows are all d-subsets of 1..n (lex), columns the edges."""
-    idx = simplex_index(h.n, h.d)
-    rows = [[0] * len(h.edges) for _ in range(len(idx))]
-    for j, e in enumerate(h.edges):
-        for i in range(h.d + 1):
-            face = e[:i] + e[i + 1 :]
-            rows[idx.index_of(face)][j] = 1 if i % 2 == 0 else -1
-    return IntMatrix.from_rows(rows, cols=len(h.edges))
+def edge_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Boundary columns of the edges, one integer tuple per edge."""
+    return tuple(tuple(boundary_column(h.n, e)) for e in h.edges)
 
 
 @lru_cache(maxsize=None)
-def edge_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Boundary columns of the edges, one integer tuple per edge."""
-    b = boundary_matrix(h)
-    return tuple(b.column(j) for j in range(b.cols))
+def boundary_matrix(h: Hypergraph) -> IntMatrix:
+    """Top boundary map: rows are all d-subsets of 1..n (lex), columns the edges."""
+    return IntMatrix.from_rows(edge_columns(h), cols=comb(h.n, h.d)).transpose()
 
 
 @dataclass(frozen=True)
@@ -182,15 +175,7 @@ def coboundary_apply(h: Hypergraph, gamma) -> Chain:
     transpose of the boundary matrix applied to gamma.
     """
     values = list(getattr(gamma, "coeffs", gamma))
-    idx = simplex_index(h.n, h.d)
-    if len(values) != len(idx):
-        raise ValueError(f"cochain has {len(values)} entries, expected {len(idx)}")
-    out = []
-    for e in h.edges:
-        acc = 0
-        for i in range(h.d + 1):
-            face = e[:i] + e[i + 1 :]
-            term = values[idx.index_of(face)]
-            acc = acc + term if i % 2 == 0 else acc - term
-        out.append(acc)
-    return Chain(tuple(out))
+    size = comb(h.n, h.d)
+    if len(values) != size:
+        raise ValueError(f"cochain has {len(values)} entries, expected {size}")
+    return Chain(tuple(sum(c * x for c, x in zip(col, values) if c) for col in edge_columns(h)))

@@ -1,10 +1,15 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular witnesses, lattice saturation indices, and
-one incremental fraction-free (Bareiss) elimination kernel, `Echelon`, on
-which rank, primitive integer kernels, the support rows and signed circuits
-of `faces` and the equalities of `ratlp` all run. `pack`, `digit` and `lead`
-keep an integer vector as one Python int of signed base-2**b digits,
+Smith normal form with unimodular witnesses, built from four operations
+(swap two rows, swap two columns, add a multiple of a row, add a multiple of
+a column) that each act on the matrix and on the transform they change;
+lattice saturation indices; and one incremental fraction-free (Bareiss)
+elimination kernel, `Echelon`, on which rank, primitive integer kernels, the
+support rows and signed circuits of `faces` and the equalities of `ratlp`
+all run. `bareiss_step` is its one elimination step, which `ratlp`'s integer
+simplex applies to its tableau rows too. The Smith form keeps its own
+elimination, so that it can check `rank` independently. `pack`, `digit` and
+`lead` keep an integer vector as one Python int of signed base-2**b digits,
 `pack_width` choosing b from the Hadamard bound of the vectors so that every
 Bareiss minor of them fits a digit: the hyperforest DFS of `census` carries
 its candidate columns that way, one big-int Bareiss step per column.
@@ -136,132 +141,88 @@ class SnfResult:
         return IntMatrix.from_rows(m, cols=cols)
 
 
-def _min_abs_pivot(m: list[list[int]], t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    best = None
-    best_val = None
-    for i in range(t, rows):
-        row = m[i]
-        for j in range(t, cols):
-            v = row[j]
-            if v:
-                a = abs(v)
-                if best_val is None or a < best_val:
-                    best, best_val = (i, j), a
-                    if a == 1:
-                        return best
+def _least(entries) -> tuple[int, int] | None:
+    """Position of the first entry of least absolute value among the nonzero
+    ones of (position, value) pairs; None if all are zero."""
+    best, low = None, 0
+    for pos, v in entries:
+        if v and (best is None or abs(v) < low):
+            best, low = pos, abs(v)
+            if low == 1:
+                break
     return best
+
+
+# Each operation acts on every matrix in `mats`: m and left for row
+# operations, m and right for column operations.
+def _swap_rows(mats: list, i: int, k: int) -> None:
+    for a in mats:
+        a[i], a[k] = a[k], a[i]
+
+
+def _swap_cols(mats: list, j: int, k: int) -> None:
+    for a in mats:
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+
+
+def _add_row(mats: list, dst: int, src: int, q: int) -> None:
+    """Row dst += q * row src."""
+    for a in mats:
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+
+
+def _add_col(mats: list, dst: int, src: int, q: int) -> None:
+    """Column dst += q * column src."""
+    for a in mats:
+        for row in a:
+            row[dst] += q * row[src]
 
 
 def _diagonalize(m: list[list[int]], rows: int, cols: int, left=None, right=None) -> None:
     """Reduce m in place to Smith diagonal form.
 
     Pivots are chosen by minimal absolute value to limit coefficient growth.
-    When given, ``left`` (rows x rows) and ``right`` (cols x cols, acted on by
-    the same column operations as m) accumulate the unimodular transforms.
+    When given, ``left`` (rows x rows) and ``right`` (cols x cols) undergo
+    the same row and column operations as m, accumulating the unimodular
+    transforms. Operations span whole rows and columns: at step t, rows t..
+    are already zero left of column t and columns t.. above row t.
     """
-    dim = min(rows, cols)
-    t = 0
-    while t < dim:
-        piv = _min_abs_pivot(m, t, rows, cols)
-        if piv is None:
+    on_rows = [m] if left is None else [m, left]
+    on_cols = [m] if right is None else [m, right]
+    for t in range(min(rows, cols)):
+        pos = _least(((i, j), m[i][j]) for i in range(t, rows) for j in range(t, cols))
+        if pos is None:
             break
-        i, j = piv
-        if i != t:
-            m[t], m[i] = m[i], m[t]
-            if left is not None:
-                left[t], left[i] = left[i], left[t]
-        if j != t:
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-            if right is not None:
-                for row in right:
-                    row[t], row[j] = row[j], row[t]
         while True:
+            if pos[0] != t:
+                _swap_rows(on_rows, t, pos[0])
+            if pos[1] != t:
+                _swap_cols(on_cols, t, pos[1])
             p = m[t][t]
-            col_clean = True
             for i in range(t + 1, rows):
-                v = m[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        row_i, row_t = m[i], m[t]
-                        for j in range(t, cols):
-                            row_i[j] -= q * row_t[j]
-                        if left is not None:
-                            li, lt = left[i], left[t]
-                            for j in range(len(li)):
-                                li[j] -= q * lt[j]
-                    if m[i][t]:
-                        col_clean = False
-            row_clean = True
+                q = m[i][t] // p
+                if q:
+                    _add_row(on_rows, i, t, -q)
             for j in range(t + 1, cols):
-                v = m[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        if right is not None:
-                            for row in right:
-                                row[j] -= q * row[t]
-                    if m[t][j]:
-                        row_clean = False
-            if not (col_clean and row_clean):
-                # Nonzero remainders are strictly smaller than |p|; promote the
-                # smallest one to the pivot slot and repeat.
-                cand = None
-                cand_val = None
-                for i in range(t, rows):
-                    if m[i][t]:
-                        a = abs(m[i][t])
-                        if cand_val is None or a < cand_val:
-                            cand, cand_val = ("row", i), a
-                for j in range(t, cols):
-                    if m[t][j]:
-                        a = abs(m[t][j])
-                        if cand_val is None or a < cand_val:
-                            cand, cand_val = ("col", j), a
-                kind, idx = cand
-                if kind == "row" and idx != t:
-                    m[t], m[idx] = m[idx], m[t]
-                    if left is not None:
-                        left[t], left[idx] = left[idx], left[t]
-                elif kind == "col" and idx != t:
-                    for row in m:
-                        row[t], row[idx] = row[idx], row[t]
-                    if right is not None:
-                        for row in right:
-                            row[t], row[idx] = row[idx], row[t]
+                q = m[t][j] // p
+                if q:
+                    _add_col(on_cols, j, t, -q)
+            # Nonzero remainders are strictly smaller than |p|, so (t, t) is
+            # the least entry only when row and column t are clear; else
+            # promote the least remainder to the pivot slot and repeat.
+            column = [((i, t), m[i][t]) for i in range(t, rows)]
+            pos = _least(column + [((t, j), m[t][j]) for j in range(t, cols)])
+            if pos != (t, t):
                 continue
-            # Pivot isolated; pull in any entry it does not divide so the
-            # divisibility chain holds.
-            bad = None
-            for i in range(t + 1, rows):
-                row_i = m[i]
-                for j in range(t + 1, cols):
-                    if row_i[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # Pivot isolated; pull in a row with an entry it does not divide,
+            # so the divisibility chain holds.
+            bad = next((i for i in range(t + 1, rows) if any(x % p for x in m[i][t + 1 :])), None)
             if bad is None:
                 break
-            row_b, row_t = m[bad], m[t]
-            for j in range(t, cols):
-                row_t[j] += row_b[j]
-            if left is not None:
-                lb, lt = left[bad], left[t]
-                for j in range(len(lt)):
-                    lt[j] += lb[j]
+            _add_row(on_rows, t, bad, 1)
         if m[t][t] < 0:
-            row_t = m[t]
-            for j in range(t, cols):
-                row_t[j] = -row_t[j]
-            if left is not None:
-                lt = left[t]
-                for j in range(len(lt)):
-                    lt[j] = -lt[j]
-        t += 1
+            _add_row(on_rows, t, t, -2)  # negate row t
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -282,6 +243,20 @@ def _invariant_factors(m: list[list[int]], rows: int, cols: int) -> list[int]:
     # Transform-free fast path for callers that only need the factors.
     _diagonalize(m, rows, cols)
     return [m[i][i] for i in range(min(rows, cols))]
+
+
+def bareiss_step(v: list[int], w: Sequence[int], s: int, p: int, prev: int) -> list[int]:
+    """One fraction-free (Bareiss) elimination step: v with its entry at s
+    cleared against the pivot row w, whose pivot w[s] is p, prev being the
+    pivot of the step before (1 at the first). When v and w are rows of one
+    elimination every division is exact. Returns v itself if it is unchanged.
+    """
+    f = v[s]
+    if f:
+        return [(p * a - f * b) // prev for a, b in zip(v, w)]
+    if p == prev:
+        return v
+    return [p * a // prev for a in v]
 
 
 class Echelon:
@@ -314,11 +289,7 @@ class Echelon:
         v = list(vec)
         prev = 1
         for w, pp, pv in zip(self.rows, self.pivots, self.values):
-            coef = v[pp]
-            if coef:
-                v = [(pv * a - coef * b) // prev for a, b in zip(v, w)]
-            elif pv != prev:
-                v = [pv * a // prev for a in v]
+            v = bareiss_step(v, w, pp, pv, prev)
             prev = pv
         return v
 

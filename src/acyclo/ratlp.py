@@ -1,26 +1,26 @@
 """Exact rational feasibility of linear equality/inequality systems.
 
-Callers encode open conditions ("> 0") as ">= 1" rows; for the homogeneous
-systems built here that homogenization is sound and complete. Equalities are
-eliminated first: they go into an `exactalg.Echelon` (fraction-free Bareiss
-elimination) with the right-hand side as last column, and each inequality is
-reduced against it, leaving the free variables only. The remaining system
-is decided by Fourier-Motzkin elimination when it has few variables, and by
-a phase-one simplex (Bland's rule) above that. The simplex pivots on
-integers: its tableau is an integer matrix over one common denominator, every
-division in a pivot is exact, and the artificial columns, which never
-re-enter the basis, are not stored. Both paths produce an exact witness on
-success, and back-substitution through the echelon fills in the pivot
-variables.
+Rows are integers: coefficients and right-hand side are ints. Callers encode
+open conditions ("> 0") as ">= 1" rows; for the homogeneous systems built
+here that homogenization is sound and complete. Equalities are eliminated
+first: they go into an `exactalg.Echelon` (fraction-free Bareiss elimination)
+with the right-hand side as last column, and each inequality is reduced
+against it, leaving the free variables only. The remaining system is decided
+by Fourier-Motzkin elimination when it has at most `FM_VARIABLE_LIMIT`
+variables, and by a phase-one simplex (Bland's rule) above that. The simplex
+pivots on integers: its tableau is an integer matrix over one common
+denominator, each pivot is `exactalg.bareiss_step` (the step `Echelon` uses)
+on every other row, and the artificial columns, which never re-enter the
+basis, are not stored. Both paths produce an exact witness on success, and
+back-substitution through the echelon fills in the pivot variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
-from .exactalg import Echelon, primitive
+from .exactalg import Echelon, bareiss_step, primitive
 
 FM_VARIABLE_LIMIT = 12
 
@@ -29,9 +29,8 @@ _IntRow = tuple[tuple[int, ...], int]  # (coefficients, rhs), read as coeffs . x
 
 def solve_feasibility(
     n_vars: int,
-    equalities: Sequence[tuple[Sequence, object]],
-    inequalities: Sequence[tuple[Sequence, object]],
-    fm_limit: int = FM_VARIABLE_LIMIT,
+    equalities: Sequence[tuple[Sequence[int], int]],
+    inequalities: Sequence[tuple[Sequence[int], int]],
 ) -> Optional[list[Fraction]]:
     """Find x with coeffs.x == rhs for every equality and coeffs.x >= rhs for
     every inequality, or return None if no such x exists."""
@@ -39,7 +38,7 @@ def solve_feasibility(
     # 0 == rhs != 0.
     ech = Echelon()
     for coeffs, rhs in equalities:
-        if ech.push(_as_int_row(coeffs, rhs)) and ech.pivots[-1] == n_vars:
+        if ech.push((*coeffs, rhs)) and ech.pivots[-1] == n_vars:
             return None
     pivot_set = set(ech.pivots)
     free_vars = [j for j in range(n_vars) if j not in pivot_set]
@@ -51,7 +50,7 @@ def solve_feasibility(
     free_cols = free_vars + [n_vars]
     reduced: list[_IntRow] = []
     for coeffs, rhs in inequalities:
-        row = ech.reduce(_as_int_row(coeffs, rhs))
+        row = ech.reduce((*coeffs, rhs))
         row = primitive([-row[j] if flip else row[j] for j in free_cols])
         if not any(row[:k]):
             if row[k] > 0:
@@ -61,7 +60,7 @@ def solve_feasibility(
 
     if not reduced:
         x_free: Optional[list[Fraction]] = [Fraction(0)] * k
-    elif k <= fm_limit:
+    elif k <= FM_VARIABLE_LIMIT:
         x_free = _fourier_motzkin(k, reduced)
     else:
         x_free = _phase_one_simplex(k, reduced)
@@ -73,13 +72,6 @@ def solve_feasibility(
     for pos, f in enumerate(free_vars):
         x[f] = x_free[pos]
     return ech.solve(x)[:n_vars]
-
-
-def _as_int_row(coeffs: Sequence, rhs) -> Sequence[int]:
-    """The row (coeffs, rhs) as integers, scaled by a positive factor."""
-    if isinstance(rhs, int) and all(type(x) is int for x in coeffs):
-        return (*coeffs, rhs)
-    return primitive([Fraction(x) for x in coeffs] + [Fraction(rhs)])
 
 
 def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
@@ -104,17 +96,12 @@ def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
             a = cp[v]
             for cn, bn in neg_rows:
                 e = -cn[v]
-                combo = [e * cp[j] + a * cn[j] for j in range(k)]
-                rhs = e * bp + a * bn
-                if not any(combo):
-                    if rhs > 0:
+                combo = primitive([e * cp[j] + a * cn[j] for j in range(k)] + [e * bp + a * bn])
+                if not any(combo[:k]):
+                    if combo[k] > 0:
                         return None
                     continue
-                g = 0
-                for x in combo:
-                    g = gcd(g, x)
-                g = gcd(g, rhs)
-                new_active.add((tuple(x // g for x in combo), rhs // g))
+                new_active.add((combo[:k], combo[k]))
         active = new_active
         remaining.remove(v)
 
@@ -193,8 +180,8 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
         p = pivot_row[enter]
         for i in range(m):
             if i != leave:
-                tableau[i] = _pivot_row(tableau[i], pivot_row, enter, p, den)
-        z = _pivot_row(z, pivot_row, enter, p, den)
+                tableau[i] = bareiss_step(tableau[i], pivot_row, enter, p, den)
+        z = bareiss_step(z, pivot_row, enter, p, den)
         den = p
         basis[leave] = enter
 
@@ -208,14 +195,3 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
         elif b < 2 * k:
             x[b - k] -= val
     return x
-
-
-def _pivot_row(row: list[int], pivot_row: list[int], s: int, p: int, den: int) -> list[int]:
-    """One non-pivot row of an integer pivot on column s, pivot p, old
-    common denominator den."""
-    f = row[s]
-    if f:
-        return [(a * p - f * b) // den for a, b in zip(row, pivot_row)]
-    if p == den:
-        return row
-    return [a * p // den for a in row]

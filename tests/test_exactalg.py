@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,20 @@ def test_snf_rp2_torsion():
     sel = SubcomplexSelection.from_edge_sets(complete_hypergraph(6, 2), RP2_TRIANGLES)
     assert torsion_rowreduce(sel) == 2
     assert saturation_index(m) == 2
+
+
+def test_snf_matches_golden_factors_and_transforms():
+    # Pins snf itself, not only the properties any Smith form has: the
+    # factors and both transforms of fixed matrices (the RP^2 boundary, empty
+    # shapes, diag(2, 3), a remainder promoted to pivot, a negative pivot,
+    # seeded 5x7 and 7x5), recorded before snf was last rewritten.
+    cases = json.loads((Path(__file__).parent / "testdata" / "snf_golden.json").read_text())
+    assert cases[0]["matrix"] == rp2_matrix().row_lists()
+    for case in cases:
+        res = snf(IntMatrix.from_rows(case["matrix"], cols=case["cols"]))
+        assert res.invariant_factors == tuple(case["invariant_factors"]), case["name"]
+        assert res.left_transform.row_lists() == case["left_transform"], case["name"]
+        assert res.right_transform.row_lists() == case["right_transform"], case["name"]
 
 
 def test_rank_zero_matrix():

@@ -455,7 +455,16 @@ def test_tournament_check_above_fm_limit(n, d, capsys, monkeypatch):
     assert min(simplex_calls) > ratlp.FM_VARIABLE_LIMIT
 
 
-def test_fm_and_simplex_agree():
+def _via_fm_and_simplex(monkeypatch, nv, eqs, ges):
+    """The system solved with the Fourier-Motzkin limit at 12 (FM for these
+    sizes), then at 0 (simplex whenever a free variable is left)."""
+    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 12)
+    via_fm = solve_feasibility(nv, eqs, ges)
+    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 0)
+    return via_fm, solve_feasibility(nv, eqs, ges)
+
+
+def test_fm_and_simplex_agree(monkeypatch):
     rng = random.Random(41)
     for _ in range(60):
         nv = rng.randint(1, 4)
@@ -465,8 +474,7 @@ def test_fm_and_simplex_agree():
             eqs.append(([rng.randint(-3, 3) for _ in range(nv)], 0))
         for _ in range(rng.randint(1, 4)):
             ges.append(([rng.randint(-3, 3) for _ in range(nv)], rng.randint(-2, 2)))
-        via_fm = solve_feasibility(nv, eqs, ges, fm_limit=12)
-        via_simplex = solve_feasibility(nv, eqs, ges, fm_limit=0)
+        via_fm, via_simplex = _via_fm_and_simplex(monkeypatch, nv, eqs, ges)
         assert (via_fm is None) == (via_simplex is None)
         for sol in (via_fm, via_simplex):
             if sol is not None:
@@ -511,13 +519,12 @@ def _random_system(rng):
     return nv, eqs, ges, point is not None
 
 
-def test_fm_and_simplex_agree_on_larger_systems():
+def test_fm_and_simplex_agree_on_larger_systems(monkeypatch):
     rng = random.Random(2024)
     verdicts = set()
     for _ in range(150):
         nv, eqs, ges, planted = _random_system(rng)
-        via_fm = solve_feasibility(nv, eqs, ges, fm_limit=12)
-        via_simplex = solve_feasibility(nv, eqs, ges, fm_limit=0)
+        via_fm, via_simplex = _via_fm_and_simplex(monkeypatch, nv, eqs, ges)
         assert (via_fm is None) == (via_simplex is None)
         if planted:
             assert via_simplex is not None
