@@ -26,8 +26,10 @@ import io
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Callable, Optional
 
@@ -192,7 +194,8 @@ def _budget_kwargs(args: argparse.Namespace) -> dict:
 
 # Oracle checks: each compares one theorem-path value with an independent
 # oracle, and returns None where the oracle does not apply to h. A check reads
-# the theorem-path value from the report when its handler has put it there.
+# the theorem-path value from the report when its handler has put it there,
+# else computes it under --budget, and is skipped if that exceeds the budget.
 
 
 def _kirchhoff_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
@@ -203,7 +206,10 @@ def _kirchhoff_check(args, h: Hypergraph, report: dict) -> Optional[oracle.Oracl
 
 def _ehrhart_fit_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
     if len(h.edges) <= oracle.DEFAULT_GENERATOR_CAP:
-        coeffs = report["ehrhart"]["coefficients"] if "ehrhart" in report else None
+        if "ehrhart" in report:
+            coeffs = report["ehrhart"]["coefficients"]
+        else:
+            coeffs = census.ehrhart(h, **_budget_kwargs(args)).coefficients
         return oracle.ehrhart_fit_check(h, theorem_coeffs=coeffs)
 
 
@@ -217,40 +223,38 @@ def _lattice_points_check(args, h: Hypergraph, report: dict) -> Optional[oracle.
 
 
 def _matrix_tree_check(args, h: Optional[Hypergraph], report: dict) -> Optional[oracle.OracleReport]:
-    # Without a census in the report, one runs if its comb(edges, rank) subsets fit the budget.
     h = complete_hypergraph(*args.complete) if h is None else h
-    budget = census.DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
     if "kalai_sum" in report:
         kalai_sum = report["kalai_sum"]
-    elif comb(len(h.edges), cycle_space_dim(h.n, h.d)) <= budget:
-        kalai_sum = sum(o * o * c for o, c in census._hypertree_histogram(h, budget, None).items())
     else:
-        return None
+        budget = census.DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
+        kalai_sum = sum(o * o * c for o, c in census._hypertree_histogram(h, budget, None).items())
     return oracle.OracleReport.compare("kalai sum vs matrix-tree", kalai_sum, oracle.matrix_tree_sum(h))
 
 
-def _vertex_patterns_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:
+def _vertex_patterns_check(args, h: Hypergraph, report: dict) -> oracle.OracleReport:
     if len(h.edges) <= oracle.DEFAULT_PATTERN_CAP:
         if "vertices" in report:
             enumerated = {v["pattern"] for v in report["vertices"]}
         else:
-            enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h)}
+            enumerated = {p.as_string() for p, _ in faces.enumerate_vertices(h, **_budget_kwargs(args))}
         brute = {p.as_string() for p in oracle.signpattern_bruteforce(h)}
         return oracle.OracleReport.compare("vertex pattern sets", sorted(enumerated), sorted(brute))
-    budget = faces.DEFAULT_PATTERN_BUDGET if args.budget is None else args.budget
-    if 2 ** len(h.edges) <= budget:
-        if "vertices" in report:
-            count = report["count"]
-        else:
-            count = sum(1 for _ in faces.enumerate_vertices(h, budget=budget))
-        return oracle.OracleReport.compare("vertex count vs regions", count, oracle.region_count(h))
+    if "vertices" in report:
+        count = report["count"]
+    else:
+        count = sum(1 for _ in faces.enumerate_vertices(h, **_budget_kwargs(args)))
+    return oracle.OracleReport.compare("vertex count vs regions", count, oracle.region_count(h))
 
 
 def _add_oracle_reports(args, h: Hypergraph, report: dict, checks=None) -> int:
     """The handler of `acyclo oracle`, which runs every check in COMMANDS, and
     the `--oracle` step of the subcommands with checks."""
-    checks = _ALL_CHECKS if checks is None else checks
-    reports = [r for r in (check(args, h, report) for check in checks) if r is not None]
+    reports = []
+    for check in _ALL_CHECKS if checks is None else checks:
+        with suppress(BudgetExceededError):
+            reports.append(check(args, h, report))
+    reports = [r for r in reports if r is not None]
     report["oracle_reports"] = [
         dict(quantity=r.quantity, theorem=r.theorem_value, oracle=r.oracle_value, agreement=r.agreement)
         for r in reports
@@ -407,18 +411,10 @@ def _partition_facet_patterns(h: Hypergraph) -> set[tuple[int, ...]]:
     """Sign patterns of all ordered partitions of 1..n into d+1 nonempty blocks."""
     n, d = h.n, h.d
     out: set[tuple[int, ...]] = set()
-
-    def assign(v: int, blocks: list[list[int]]) -> None:
-        if v > n:
-            if all(blocks):
-                out.add(faces.partition_pattern(n, d, blocks).values)
-            return
-        for b in blocks:
-            b.append(v)
-            assign(v + 1, blocks)
-            b.pop()
-
-    assign(1, [[] for _ in range(d + 1)])
+    for labels in product(range(d + 1), repeat=n):
+        if len(set(labels)) == d + 1:
+            blocks = [[v for v, label in enumerate(labels, 1) if label == b] for b in range(d + 1)]
+            out.add(faces.partition_pattern(n, d, blocks).values)
     return out
 
 

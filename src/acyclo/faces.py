@@ -108,6 +108,11 @@ def _support_rows(h: Hypergraph):
     space already as the cochain ranges over these coordinates alone, so
     feasibility is decided over rank-many variables instead of comb(n, d),
     with the original sparse entries as coefficients.
+
+    The rows kept all miss vertex n, as the boundary of a boundary is zero:
+    the row of a d-subset F through n is a signed sum of the lex-earlier rows
+    of the d-subsets that swap n in F for another vertex. So they are exactly
+    the rows that miss n when h has full rank comb(n-1, d).
     """
     cols = edge_columns(h)
     ech = Echelon()
@@ -132,12 +137,6 @@ def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
         else:
             ges.append((tuple(s * x for x in restricted[j]), 1))
     return solve_feasibility(len(support), eqs, ges)
-
-
-def _feasible_for_signs(h: Hypergraph, assigned) -> Optional[tuple[Fraction, ...]]:
-    """Witness cochain for the partial sign assignment [(edge index, sign), ...]."""
-    sol = _solve_on_support(h, assigned)
-    return None if sol is None else _embed(h, sol)
 
 
 def _embed(h: Hypergraph, values: Sequence) -> tuple[Fraction, ...]:
@@ -297,7 +296,8 @@ def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[Fraction
         raise ValueError(
             f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}"
         )
-    return _feasible_for_signs(h, list(enumerate(sigma.values)))
+    sol = _solve_on_support(h, enumerate(sigma.values))
+    return None if sol is None else _embed(h, sol)
 
 
 def vertex_point(h: Hypergraph, sigma: SignPattern) -> tuple[int, ...]:
@@ -318,7 +318,8 @@ def enumerate_vertices(
     Depth-first search over +-1 edge assignments, + first, that keeps a
     child when the signed circuits ending at its edge admit it, and carries
     the lattice point down, adding an edge's column on each +. It solves no
-    LP. A shard's prefixes are checked edge by edge in the same way.
+    LP. A shard runs the search from the root once for each of its sign
+    prefixes, in order, with the prefix's sign forced on each of its edges.
     """
     num_edges = len(h.edges)
     bound = 2 ** num_edges
@@ -326,25 +327,16 @@ def enumerate_vertices(
         raise BudgetExceededError(bound, budget, "vertex enumeration")
     circuits = _signed_circuits(h)
     cols = edge_columns(h)
-    stack = []
     for prefix in [()] if shard is None else shard_prefixes(num_edges, shard):
-        plus, minus, point = 0, 0, (0,) * comb(h.n, h.d)
-        for k, included in enumerate(prefix):
-            up, down = _extends(plus, minus, circuits[k])
-            if not (up if included else down):
-                break
-            if included:
-                plus, point = plus | 1 << k, tuple(map(add, point, cols[k]))
-            else:
-                minus |= 1 << k
-        else:
-            stack.append((len(prefix), plus, minus, point))
+        stack = [(0, 0, 0, (0,) * comb(h.n, h.d))]
         while stack:
             k, plus, minus, point = stack.pop()
             if k == num_edges:
                 yield SignPattern(tuple(1 if plus >> j & 1 else -1 for j in range(num_edges))), point
                 continue
             up, down = _extends(plus, minus, circuits[k])
+            if k < len(prefix):
+                up, down = up and prefix[k], down and not prefix[k]
             if down:
                 stack.append((k + 1, plus, minus | 1 << k, point))
             if up:  # popped first

@@ -72,58 +72,40 @@ def matrix_tree_sum(h: Hypergraph) -> int:
     return IntMatrix.from_rows(laplacian, cols=len(faces)).determinant()
 
 
-def _row_parametrization(cols, ambient: int, widths):
-    """Pick independent rows (narrow boxes first) and an inverse for back-solving.
-
-    Returns (pivot_rows, pivot_cols, inverse of the square submatrix on them),
-    all over exact rationals, by local Gaussian elimination.
-    """
-    num_cols = len(cols)
-    order = sorted(range(ambient), key=lambda r: (widths[r], r))
-    basis: list[list[Fraction]] = []
-    basis_pivot_cols: list[int] = []
-    pivot_rows: list[int] = []
-    for r in order:
-        v = [Fraction(cols[j][r]) for j in range(num_cols)]
-        for b, pc in zip(basis, basis_pivot_cols):
+def _row_expressions(cols, ambient: int, widths) -> tuple[list[int], list[list[Fraction]]]:
+    """Independent rows of the matrix with columns `cols`, picked narrow
+    boxes first by one Fraction elimination, and each row's coefficients
+    over them. Each row is tagged with its expression in the rows, a unit
+    vector, which the elimination carries along: a row that reduces to zero
+    is minus the rest of its tag."""
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, tagged row scaled to 1 there)
+    picked: list[int] = []
+    expressions: list[list[Fraction]] = [[]] * ambient
+    for r in sorted(range(ambient), key=lambda r: (widths[r], r)):
+        unit = [Fraction(int(q == r)) for q in range(ambient)]
+        v = [Fraction(c[r]) for c in cols] + unit
+        for pc, row in basis:
             if v[pc]:
                 f = v[pc]
-                v = [x - f * y for x, y in zip(v, b)]
-        pc = next((j for j in range(num_cols) if v[j]), None)
+                v = [x - f * y for x, y in zip(v, row)]
+        pc = next((j for j in range(len(cols)) if v[j]), None)
         if pc is None:
-            continue
-        p = v[pc]
-        basis.append([x / p for x in v])
-        basis_pivot_cols.append(pc)
-        pivot_rows.append(r)
-    r = len(pivot_rows)
-    square = [[Fraction(cols[basis_pivot_cols[c]][pivot_rows[i]]) for c in range(r)] for i in range(r)]
-    inv = _invert(square)
-    return pivot_rows, basis_pivot_cols, inv
-
-
-def _invert(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            expressions[r] = [-x for x in v[len(cols):]]
+        else:
+            basis.append((pc, [x / v[pc] for x in v]))
+            picked.append(r)
+            expressions[r] = unit
+    return picked, [[e[q] for q in picked] for e in expressions]
 
 
 def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CAP) -> int:
     """Count lattice points of the t-dilate by direct membership tests.
 
     Candidates come from the exact bounding box of the dilate (per-coordinate
-    Minkowski sums of the generators' minima and maxima), restricted to the
-    span of the generators via triangular back-solving; each surviving point
-    is tested by exact feasibility of its generator-coefficient system.
+    Minkowski sums of the generators' minima and maxima) on independent rows,
+    which fix the other coordinates of a point in the span of the generators;
+    each integral point inside the box is tested by exact feasibility of its
+    generator-coefficient system.
     """
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
@@ -136,9 +118,7 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
     ambient = comb(h.n, h.d)
     lo = [t * sum(min(0, c[r]) for c in cols) for r in range(ambient)]
     hi = [t * sum(max(0, c[r]) for c in cols) for r in range(ambient)]
-    widths = [hi[r] - lo[r] for r in range(ambient)]
-    pivot_rows, pivot_cols, inv = _row_parametrization(cols, ambient, widths)
-    r = len(pivot_rows)
+    picked, expressions = _row_expressions(cols, ambient, [hi[r] - lo[r] for r in range(ambient)])
 
     bound_rows = []
     for e in range(num_edges):
@@ -147,29 +127,18 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
         bound_rows.append((unit_pos, 0))
         bound_rows.append((unit_neg, -t))
 
+    rows = [tuple(c[r] for c in cols) for r in range(ambient)]
     count = 0
-    ranges = [range(lo[p], hi[p] + 1) for p in pivot_rows]
-    for x in product(*ranges):
-        mu = [sum(inv[i][j] * x[j] for j in range(r)) for i in range(r)]
+    for x in product(*(range(lo[p], hi[p] + 1) for p in picked)):
         point = []
-        ok = True
-        for row in range(ambient):
-            val = sum(Fraction(cols[pivot_cols[c]][row]) * mu[c] for c in range(r))
-            if val.denominator != 1:
-                ok = False
+        for coefficients, low, high in zip(expressions, lo, hi):
+            val = sum(c * xi for c, xi in zip(coefficients, x))
+            if val.denominator != 1 or not low <= val <= high:
                 break
-            v = int(val)
-            if not lo[row] <= v <= hi[row]:
-                ok = False
-                break
-            point.append(v)
-        if not ok:
-            continue
-        eqs = [
-            (tuple(cols[j][row] for j in range(num_edges)), point[row]) for row in range(ambient)
-        ]
-        if solve_feasibility(num_edges, eqs, bound_rows) is not None:
-            count += 1
+            point.append(int(val))
+        else:
+            if solve_feasibility(num_edges, list(zip(rows, point)), bound_rows) is not None:
+                count += 1
     return count
 
 
@@ -235,31 +204,33 @@ def region_count(h: Hypergraph) -> int:
     branches cancel and the subtree adds 0. Every subset that reaches a
     leaf is then independent and adds 1.
     """
-    cols = [[Fraction(x) for x in c] for c in edge_columns(h)]
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, row scaled to 1 there)
+    return _region_total([[Fraction(x) for x in c] for c in edge_columns(h)], [], 0)
 
-    def push(v: list[Fraction]) -> bool:
-        """Add v's remainder modulo the basis, unless it is zero."""
-        for p, row in basis:
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return False
-        basis.append((p, [x / v[p] for x in v]))
-        return True
 
-    def total(k: int) -> int:
-        if k == len(cols):
-            return 1
-        if not push(cols[k]):
-            return 0
-        with_k = total(k + 1)
-        basis.pop()
-        return with_k + total(k + 1)
+def _region_total(cols: list[list[Fraction]], basis: list, k: int) -> int:
+    """region_count's sum over the subsets of the columns k and later, joined
+    to the chosen columns that `basis` holds. A module function rather than
+    a closure, which would be a reference cycle."""
+    if k == len(cols):
+        return 1
+    if not _push_independent(basis, cols[k]):
+        return 0
+    with_k = _region_total(cols, basis, k + 1)
+    basis.pop()
+    return with_k + _region_total(cols, basis, k + 1)
 
-    return total(0)
+
+def _push_independent(basis: list[tuple[int, list[Fraction]]], v: list[Fraction]) -> bool:
+    """Add v's remainder modulo the basis, as (pivot, row scaled to 1 there), unless it is zero."""
+    for p, row in basis:
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is None:
+        return False
+    basis.append((p, [x / v[p] for x in v]))
+    return True
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -472,6 +472,23 @@ def test_region_count_respects_the_vertex_budget(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, quantities",
+    [
+        (["oracle", "--complete", "5", "2", "--budget", "500"], ["kalai sum vs matrix-tree"]),
+        (["volume", "--complete", "4", "1", "--budget", "20", "--oracle"], ["volume vs kirchhoff"]),
+        (["oracle", "--complete", "5", "1", "--budget", "100"], []),
+    ],
+    ids=["vertex-search-over-budget", "ehrhart-over-budget", "every-check-over-budget"],
+)
+def test_oracle_checks_over_the_budget_are_skipped(argv, quantities, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    reports = json.loads(out)["oracle_reports"]
+    assert [r["quantity"] for r in reports] == quantities
+    assert all(r["agreement"] for r in reports)
+
+
 @pytest.mark.parametrize("n, d, total", [(5, 2, 5**3), (6, 2, 6**6)])
 def test_kalai_census_oracle_agrees_with_the_matrix_tree_sum(n, d, total, capsys):
     code, out = run_cli(["kalai-census", "--complete", str(n), str(d), "--oracle"], capsys)

@@ -27,6 +27,7 @@ from acyclo import (
     vertex_point,
 )
 from acyclo import faces, ratlp
+from acyclo.census import shard_prefixes
 from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
@@ -701,3 +702,19 @@ def test_vertex_shards_whose_prefixes_hold_circuits(total):
     sharded = [v for i in range(total) for v in enumerate_vertices(h, shard=(i, total))]
     assert len(full) == 120
     assert sorted(sharded, key=lambda v: v[0].values) == sorted(full, key=lambda v: v[0].values)
+
+
+@pytest.mark.parametrize("total", [3, 5, 32])
+@pytest.mark.parametrize("n, d", [(5, 1), (5, 2)])
+def test_vertex_shard_streams_keep_the_unsharded_order(n, d, total):
+    # each shard yields, prefix by prefix, the unsharded stream's vertices below that prefix
+    h = complete_hypergraph(n, d)
+    full = list(enumerate_vertices(h))
+    for i in range(total):
+        expected = [
+            (pattern, point)
+            for prefix in shard_prefixes(len(h.edges), (i, total))
+            for pattern, point in full
+            if all((s > 0) == included for s, included in zip(pattern.values, prefix))
+        ]
+        assert list(enumerate_vertices(h, shard=(i, total))) == expected
