@@ -30,6 +30,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable, Optional
 
@@ -91,35 +92,42 @@ def serialize_hypergraph(h: Hypergraph) -> str:
     return json.dumps({"n": h.n, "d": h.d, "edges": [list(e) for e in h.edges]})
 
 
-def _stringify(value):
-    """Big integers as decimal strings; rationals as 'p/q'; containers recursed."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
+def _scalar(value):
+    """The report's leaf rule: big integers as decimal strings, rationals as
+    'p/q' (or 'p', which is Fraction's str); other leaves as they are."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _stringify(v) for k, v in value.items()}
     return value
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value laid out as json.dumps(value, indent=2) lays it out, with the
+    leaves of _scalar; indent is the newline and indentation before value."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{encode_basestring_ascii(str(k))}: {_json(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    leaf = _scalar(value)
+    return encode_basestring_ascii(leaf) if isinstance(leaf, str) else json.dumps(leaf)
 
 
 def _flatten(value, prefix=""):
     if isinstance(value, dict):
         for k, v in value.items():
             yield from _flatten(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             yield from _flatten(v, f"{prefix}[{i}]")
     else:
-        yield prefix, value
+        yield prefix, _scalar(value)
 
 
 def _emit(report: dict, fmt: str) -> None:
     try:
-        _write(_stringify(report), fmt)
+        _write(report, fmt)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`| head`). Point the descriptor at
@@ -131,7 +139,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _write(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Sequence
 
 # Exact rational carrier. Fraction already keeps denominators positive and in
@@ -309,15 +310,21 @@ class Echelon:
         self.pivots.pop()
         self.values.pop()
 
-    def solve(self, x: list) -> list:
-        """Overwrite x's pivot positions, in place, so that every row pairs to
-        zero with x; the other positions are read as given."""
+    def solve(self, x: list[int], den: int) -> tuple[list[int], int]:
+        """The rational vector x / den, den > 0, with its pivot positions set so
+        that every row pairs to zero with it, as integers over a multiple of
+        den; the other positions are read as given."""
         # Row k is zero on the pivots of rows 0..k-1, so solving in reverse
-        # meets only positions already set besides its own pivot.
+        # meets only positions already set besides its own pivot. Its pivot
+        # entry is -s / p over den, which needs den scaled by |p| / gcd(s, p).
         for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
             x[pc] = 0
-            x[pc] = Fraction(-sum(a * b for a, b in zip(row, x) if a), row[pc])
-        return x
+            s, p = sum(map(mul, row, x)), row[pc]
+            scale = abs(p) // gcd(s, p)
+            if scale > 1:
+                x, den = [scale * a for a in x], den * scale
+            x[pc] = -scale * s // p
+        return x, den
 
 
 def pack_width(vectors: Sequence[Sequence[int]]) -> int:
@@ -388,7 +395,7 @@ def nullspace(a: IntMatrix) -> list[tuple[int, ...]]:
             continue
         v = [0] * a.cols
         v[free] = 1
-        ints = primitive(ech.solve(v))
+        ints = primitive(ech.solve(v, 1)[0])
         lead = next(x for x in ints if x)
         basis.append(ints if lead > 0 else tuple(-x for x in ints))
     return basis

@@ -102,7 +102,7 @@ class FaceDescriptor:
 @lru_cache(maxsize=None)
 def _support_rows(h: Hypergraph):
     """A set of linearly independent rows of the boundary matrix, plus each
-    edge's column restricted to them.
+    edge's column restricted to them, and its negation.
 
     The pairings of a cochain with the edge boundaries sweep the whole row
     space already as the cochain ranges over these coordinates alone, so
@@ -118,7 +118,7 @@ def _support_rows(h: Hypergraph):
     ech = Echelon()
     support = tuple(r for r in range(comb(h.n, h.d)) if ech.push([c[r] for c in cols]))
     restricted = tuple(tuple(c[r] for r in support) for c in cols)
-    return support, restricted
+    return support, restricted, tuple(tuple(-x for x in c) for c in restricted)
 
 
 def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
@@ -128,20 +128,20 @@ def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
     Zero signs become exact equalities; nonzero signs become homogenized
     strict inequalities ">= 1". Unlisted edges are unconstrained.
     """
-    support, restricted = _support_rows(h)
+    support, restricted, negated = _support_rows(h)
     eqs = []
     ges = []
     for j, s in assigned:
         if s == 0:
             eqs.append((restricted[j], 0))
         else:
-            ges.append((tuple(s * x for x in restricted[j]), 1))
+            ges.append((restricted[j] if s > 0 else negated[j], 1))
     return solve_feasibility(len(support), eqs, ges)
 
 
 def _embed(h: Hypergraph, values: Sequence) -> tuple[Fraction, ...]:
     """Cochain on all (d-1)-subsets from its values on the support rows."""
-    support, _ = _support_rows(h)
+    support = _support_rows(h)[0]
     witness = [Fraction(0)] * comb(h.n, h.d)
     for r, z in zip(support, values):
         witness[r] = Fraction(z)
@@ -164,7 +164,7 @@ def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
     dependent column leaves has a zero column part and its dependency as tag,
     and that dependency is C exactly when it uses every chosen edge.
     """
-    support, restricted = _support_rows(h)
+    support, restricted, _ = _support_rows(h)
     m = len(restricted)
     tagged = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(restricted)]
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -262,7 +262,7 @@ def _extensions(
       every earlier nonzero edge e, and symmetrically - is realizable only
       if + is.
     """
-    _, restricted = _support_rows(h)
+    restricted = _support_rows(h)[1]
     column = restricted[len(signs)]
     plus = sum(1 << j for j, s in enumerate(signs) if s > 0)
     minus = sum(1 << j for j, s in enumerate(signs) if s < 0)
@@ -396,7 +396,7 @@ class FaceLattice:
 def _zero_set_dimension(h: Hypergraph, values: Sequence[int]) -> int:
     """Rank of the zero edges' columns, which their restriction to the
     support rows keeps."""
-    support, restricted = _support_rows(h)
+    support, restricted, _ = _support_rows(h)
     zero_cols = [restricted[j] for j, s in enumerate(values) if s == 0]
     return rank(IntMatrix.from_rows(zero_cols, cols=len(support)))
 

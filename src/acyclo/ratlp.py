@@ -11,13 +11,16 @@ variables, and by a phase-one simplex (Bland's rule) above that. The simplex
 pivots on integers: its tableau is an integer matrix over one common
 denominator, each pivot is `exactalg.bareiss_step` (the step `Echelon` uses)
 on every other row, and the artificial columns, which never re-enter the
-basis, are not stored. Both paths produce an exact witness on success, and
-back-substitution through the echelon fills in the pivot variables.
+basis, are not stored. Both paths produce an exact witness on success, as
+integers over one common denominator, and back-substitution through the
+echelon fills in the pivot variables; the witness becomes `Fraction`s on return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import Echelon, bareiss_step, primitive
@@ -59,75 +62,76 @@ def solve_feasibility(
         reduced.append((row[:k], row[k]))
 
     if not reduced:
-        x_free: Optional[list[Fraction]] = [Fraction(0)] * k
+        point: Optional[tuple[list[int], int]] = ([0] * k, 1)
     elif k <= FM_VARIABLE_LIMIT:
-        x_free = _fourier_motzkin(k, reduced)
+        point = _fourier_motzkin(k, reduced)
     else:
-        x_free = _phase_one_simplex(k, reduced)
-    if x_free is None:
+        point = _phase_one_simplex(k, reduced)
+    if point is None:
         return None
 
-    # x extended by -1 pairs to zero with every equality row (coeffs, rhs).
-    x: list = [Fraction(0)] * n_vars + [-1]
+    # x / den extended by -1 pairs to zero with every equality row (coeffs, rhs).
+    x_free, den = point
+    x = [0] * n_vars + [-den]
     for pos, f in enumerate(free_vars):
         x[f] = x_free[pos]
-    return ech.solve(x)[:n_vars]
+    x, den = ech.solve(x, den)
+    return [Fraction(x[j], den) for j in range(n_vars)]
 
 
-def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
+def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], int]]:
+    """A point of the rows as integers X over one denominator D > 0, x = X / D,
+    or None. Each step eliminates the remaining variable with the fewest
+    pos * neg combinations, the first in index order on a tie."""
     active: set[_IntRow] = set(rows)
     remaining = list(range(k))
-    stack: list[tuple[int, list[_IntRow]]] = []
+    stack: list[tuple[int, list[_IntRow], list[_IntRow]]] = []
     while remaining:
-        best_v = None
-        best_score = None
-        for v in remaining:
-            pos = sum(1 for cs, _ in active if cs[v] > 0)
-            neg = sum(1 for cs, _ in active if cs[v] < 0)
-            score = pos * neg
-            if best_score is None or score < best_score:
-                best_v, best_score = v, score
-        v = best_v
-        pos_rows = [r for r in active if r[0][v] > 0]
-        neg_rows = [r for r in active if r[0][v] < 0]
-        new_active = {r for r in active if r[0][v] == 0}
-        stack.append((v, pos_rows + neg_rows))
+        pos, neg = [0] * k, [0] * k  # eliminated variables are zero in every active row
+        for cs, _ in active:
+            for j, c in enumerate(cs):
+                if c:
+                    (pos if c > 0 else neg)[j] += 1
+        v = min(remaining, key=lambda j: pos[j] * neg[j])
+        pos_rows, neg_rows, zero_rows = [], [], []
+        for r in active:
+            c = r[0][v]
+            (pos_rows if c > 0 else neg_rows if c < 0 else zero_rows).append(r)
+        active = set(zero_rows)
+        stack.append((v, pos_rows, neg_rows))
         for cp, bp in pos_rows:
             a = cp[v]
             for cn, bn in neg_rows:
                 e = -cn[v]
-                combo = primitive([e * cp[j] + a * cn[j] for j in range(k)] + [e * bp + a * bn])
-                if not any(combo[:k]):
-                    if combo[k] > 0:
-                        return None
-                    continue
-                new_active.add((combo[:k], combo[k]))
-        active = new_active
+                combo = primitive([e * p + a * n for p, n in zip(cp, cn)] + [e * bp + a * bn])
+                if any(combo[:k]):
+                    active.add((combo[:k], combo[k]))
+                elif combo[k] > 0:
+                    return None
         remaining.remove(v)
 
-    x: list[Optional[Fraction]] = [None] * k
-    for v, vrows in reversed(stack):
-        lo = None
-        hi = None
-        for cs, rhs in vrows:
-            a = cs[v]
-            rest = rhs - sum(cs[j] * x[j] for j in range(k) if j != v and cs[j])
-            bound = Fraction(rest, a)
-            if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            x[v] = lo
-        elif hi is not None:
-            x[v] = hi
-        else:
-            x[v] = Fraction(0)
-    return x  # type: ignore[return-value]
+    # v takes its largest lower bound if it has one, else its least upper
+    # bound, else 0. Bound num / (dv * D), dv > 0, is compared by
+    # cross-multiplying; D grows when dv does not divide num.
+    x, den = [0] * k, 1
+    for v, pos_rows, neg_rows in reversed(stack):
+        sign, best = (1 if pos_rows else -1), None
+        for cs, rhs in pos_rows or neg_rows:
+            num, dv = sign * (rhs * den - sum(map(mul, cs, x))), sign * cs[v]
+            if best is None or sign * (num * best[1] - best[0] * dv) > 0:
+                best = num, dv
+        if best is not None:
+            num, dv = best
+            scale = dv // gcd(num, dv)
+            if scale > 1:
+                x, den = [scale * a for a in x], den * scale
+            x[v] = scale * num // dv
+    return x, den
 
 
-def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
-    """Feasibility of coeffs.x >= rhs over free x, by minimizing artificials.
+def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], int]]:
+    """Feasibility of coeffs.x >= rhs over free x, by minimizing artificials;
+    the point as integers X over one denominator D > 0, x = X / D.
 
     Variables are split x = u - w with u, w >= 0; each row gets a surplus and
     an artificial variable. Bland's rule guarantees termination; artificial
@@ -187,11 +191,10 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[list[Fraction]]:
 
     if z[rhs_col] != 0:
         return None
-    x = [Fraction(0)] * k
+    x = [0] * k
     for i, b in enumerate(basis):
-        val = Fraction(tableau[i][rhs_col], den)
         if b < k:
-            x[b] += val
+            x[b] += tableau[i][rhs_col]
         elif b < 2 * k:
-            x[b - k] -= val
-    return x
+            x[b - k] -= tableau[i][rhs_col]
+    return x, den

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from acyclo import Hypergraph, census, complete_hypergraph, faces, oracle
+from acyclo import Hypergraph, census, cli, complete_hypergraph, faces, oracle
 from acyclo.cli import main, parse_hypergraph, serialize_hypergraph
 from acyclo.errors import HypergraphParseError
 
@@ -238,6 +240,67 @@ def test_golden_outputs(capsys):
         code, out = run_cli(args, capsys)
         assert code == 0
         assert out == (TESTDATA / name).read_text()
+
+
+# sha256 of stdout: the A(5,2) report holds all 8349 face witnesses, so the
+# digests pin the feasibility LPs' exact answers and the JSON layout.
+STDOUT_SHA256 = {
+    ("faces", "5", "2"): "0f9f3015e75ad691a73087449ffaf5b51831c9fe0a09402b88b985802a75abb9",
+    ("faces", "5", "1"): "736b5b6bc5737cdce84944b70767119032347a1434171ed02cb914d04d9e9497",
+    ("vertices", "6", "1"): "6017c3e374922680ed13f8b58e07474af4f7aa0e618333a979545458dcb4b780",
+}
+
+
+@pytest.mark.parametrize("command, n, d", list(STDOUT_SHA256))
+def test_stdout_is_byte_identical(command, n, d, capsys):
+    code, out = run_cli([command, "--complete", n, d], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, n, d]
+
+
+def _stringify(value):
+    """Reference leaf rule: the report with big integers as decimal strings and
+    rationals as 'p/q', for json.dumps."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    if isinstance(value, (list, tuple)):
+        return [_stringify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _stringify(v) for k, v in value.items()}
+    return value
+
+
+WRITER_REPORTS = {
+    "empty": {},
+    "nested-and-empty": {"list": [], "dict": {}, "nested": [[], [{}], {"a": [1, [2, []]], "b": {"c": {}}}]},
+    "constants": {"flags": [True, False, None], "none": None, "ok": True},
+    "integers": {"ints": [-7, 0, 10**39 + 1, -(10**39 + 1)], 3: (1, -2)},
+    "rationals": {"values": [Fraction(5), Fraction(-3, 4), Fraction(0), Fraction(10**40, 3), Fraction(-8, 2)]},
+    "strings": {
+        'k"e\\y': ['quote " backslash \\ tab \t newline \n bell \x07 nul \x00', "Zürich ∂ 😀", ""],
+        "source": "données/\"graph\".json",
+    },
+}
+
+
+@pytest.mark.parametrize("report", list(WRITER_REPORTS.values()), ids=list(WRITER_REPORTS))
+def test_json_writer_matches_json_dumps(report, capsys):
+    cli._emit(report, "json")
+    assert capsys.readouterr().out == json.dumps(_stringify(report), indent=2) + "\n"
+
+
+def test_json_writer_escapes_an_input_path(tmp_path, capsys):
+    path = tmp_path / 'graphe "ké\\".json'
+    path.write_text(serialize_hypergraph(complete_hypergraph(3, 1)), encoding="utf-8")
+    code, out = run_cli(["volume", "--input", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"]["source"] == str(path)
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_console_entry_point():
