@@ -8,6 +8,7 @@ from .census import (
     duality_volume_check,
     ehrhart,
     enumerate_spanning_hyperforests,
+    hypertree_census,
     kalai_census,
     lattice_point_count,
     merge_census_reports,

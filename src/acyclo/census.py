@@ -256,15 +256,19 @@ def lattice_point_count(
     return sum(ehrhart(h, budget=budget, shard=shard).coefficients)
 
 
+def hypertree_census(
+    h: Hypergraph, budget: int = DEFAULT_SUBSET_BUDGET, shard: Optional[Shard] = None
+) -> CensusReport:
+    """The spanning hypertrees of h grouped by torsion order."""
+    return CensusReport.from_histogram(_hypertree_histogram(h, budget, shard))
+
+
 def kalai_census(
     n: int, d: int, budget: int = DEFAULT_SUBSET_BUDGET, shard: Optional[Shard] = None
 ) -> CensusReport:
-    """Enumerate all spanning hypertrees of the complete hypergraph.
-
-    Groups them by torsion order; the squared-torsion total is the weighted
-    hypertree count n**comb(n-2, d).
-    """
-    return CensusReport.from_histogram(_hypertree_histogram(complete_hypergraph(n, d), budget, shard))
+    """`hypertree_census` of the complete hypergraph, whose squared-torsion
+    total is the weighted hypertree count n**comb(n-2, d)."""
+    return hypertree_census(complete_hypergraph(n, d), budget, shard)
 
 
 def duality_volume_check(n: int, d: int, budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, int]:

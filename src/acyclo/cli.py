@@ -29,6 +29,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -235,8 +236,7 @@ def _matrix_tree_check(args, h: Optional[Hypergraph], report: dict) -> Optional[
     if "kalai_sum" in report:
         kalai_sum = report["kalai_sum"]
     else:
-        budget = census.DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
-        kalai_sum = sum(o * o * c for o, c in census._hypertree_histogram(h, budget, None).items())
+        kalai_sum = census.hypertree_census(h, **_budget_kwargs(args)).kalai_sum
     return oracle.OracleReport.compare("kalai sum vs matrix-tree", kalai_sum, oracle.matrix_tree_sum(h))
 
 
@@ -448,7 +448,9 @@ _FLAG_OPTIONS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by later ones: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="acyclo",
         description="Exact volumes, Ehrhart polynomials and face lattices of hypergraphic zonotopes.",

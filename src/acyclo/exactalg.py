@@ -6,13 +6,14 @@ a column) that each act on the matrix and on the transform they change;
 lattice saturation indices; and one incremental fraction-free (Bareiss)
 elimination kernel, `Echelon`, on which rank, primitive integer kernels, the
 support rows and signed circuits of `faces` and the equalities of `ratlp`
-all run. `bareiss_step` is its one elimination step, which `ratlp`'s integer
-simplex applies to its tableau rows too. The Smith form keeps its own
-elimination, so that it can check `rank` independently. `pack`, `digit` and
-`lead` keep an integer vector as one Python int of signed base-2**b digits,
-`pack_width` choosing b from the Hadamard bound of the vectors so that every
-Bareiss minor of them fits a digit: the hyperforest DFS of `census` carries
-its candidate columns that way, one big-int Bareiss step per column.
+all run. `bareiss_step` is its one elimination step, which `bareiss_pivot`
+applies to the rows of `ratlp`'s integer simplex tableau too. The Smith form
+keeps its own elimination, so that it can check `rank` independently. `pack`,
+`digit` and `lead` keep an integer vector as one Python int of signed
+base-2**b digits, `pack_width` choosing b from the Hadamard bound of the
+vectors so that every Bareiss minor of them fits a digit: the hyperforest DFS
+of `census` carries its candidate columns that way, one big-int Bareiss step
+per column.
 `IntMatrix.determinant` keeps its own Bareiss loop, because the oracles that
 check the census (the Kirchhoff tree count and the matrix-tree sum) are built
 on it and should not share code with the path they check. Everything runs
@@ -258,6 +259,22 @@ def bareiss_step(v: list[int], w: Sequence[int], s: int, p: int, prev: int) -> l
     if p == prev:
         return v
     return [p * a // prev for a in v]
+
+
+def bareiss_pivot(rows: list[list[int]], r: int, w: Sequence[int], s: int, prev: int) -> None:
+    """`bareiss_step` against the pivot row w, p = w[s], on every row but
+    row r, in place. When p == prev the step is v - v[s] * w // p, so only
+    the rows with v[s] != 0 change, and only where w is nonzero."""
+    p = w[s]
+    if p != prev:
+        rows[:] = [v if i == r else bareiss_step(v, w, s, p, prev) for i, v in enumerate(rows)]
+        return
+    support = [(t, b) for t, b in enumerate(w) if b]
+    for i, v in enumerate(rows):
+        f = v[s]
+        if f and i != r:
+            for t, b in support:
+                v[t] -= f * b // p
 
 
 class Echelon:

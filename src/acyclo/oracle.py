@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .census import ehrhart
 from .complexes import Hypergraph, boundary_matrix, cycle_space_dim, edge_columns, simplex_index
 from .errors import BudgetExceededError
 from .exactalg import IntMatrix
@@ -163,19 +162,16 @@ def _interpolate(points: list[tuple[int, int]], max_degree: int) -> list[Fractio
 
 
 def ehrhart_fit_check(
-    h: Hypergraph, cap: int = DEFAULT_GENERATOR_CAP, theorem_coeffs: Optional[Sequence] = None
+    h: Hypergraph, theorem_coeffs: Sequence, cap: int = DEFAULT_GENERATOR_CAP
 ) -> OracleReport:
     """Interpolate direct dilate counts and compare against the census
-    polynomial's coefficients: `theorem_coeffs` where the caller has them,
-    else computed here."""
+    polynomial's coefficients, `theorem_coeffs`."""
     m = cycle_space_dim(h.n, h.d)
     points = [(t, lattice_points_direct(h, t, cap=cap)) for t in range(1, m + 2)]
     fitted = _interpolate(points, m)
     while len(fitted) > 1 and fitted[-1] == 0:
         fitted.pop()
     oracle_coeffs = tuple(int(c) if c.denominator == 1 else c for c in fitted)
-    if theorem_coeffs is None:
-        theorem_coeffs = ehrhart(h).coefficients
     return OracleReport.compare("ehrhart coefficients", tuple(theorem_coeffs), oracle_coeffs)
 
 

@@ -9,11 +9,12 @@ against it, leaving the free variables only. The remaining system is decided
 by Fourier-Motzkin elimination when it has at most `FM_VARIABLE_LIMIT`
 variables, and by a phase-one simplex (Bland's rule) above that. The simplex
 pivots on integers: its tableau is an integer matrix over one common
-denominator, each pivot is `exactalg.bareiss_step` (the step `Echelon` uses)
-on every other row, and the artificial columns, which never re-enter the
-basis, are not stored. Both paths produce an exact witness on success, as
-integers over one common denominator, and back-substitution through the
-echelon fills in the pivot variables; the witness becomes `Fraction`s on return.
+denominator that stores neither the w = -u half of the split variables nor
+the artificial columns, and each pivot is `exactalg.bareiss_pivot`, the step
+`Echelon` uses on every other row, sparse when the pivot equals the
+denominator. Both paths produce an exact witness on success, as integers
+over one common denominator, and back-substitution through the echelon
+fills in the pivot variables; the witness becomes `Fraction`s on return.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Echelon, bareiss_step, primitive
+from .exactalg import Echelon, bareiss_pivot, primitive
 
 FM_VARIABLE_LIMIT = 12
 
@@ -136,60 +137,60 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int],
     Variables are split x = u - w with u, w >= 0; each row gets a surplus and
     an artificial variable. Bland's rule guarantees termination; artificial
     columns are never re-admitted once they leave the basis, so they are not
-    stored.
+    stored; nor are the w columns, each being -u in every row, which row
+    operations keep. A row holds u, the surplus columns and the right-hand
+    side; Bland's rule reads the full column order u, w, surplus.
 
     The tableau is kept as integers T with one common denominator D > 0, the
     true tableau being T / D (Edmonds 1967; Avis's lrs). Pivoting on (r, s)
     with p = T[r][s] leaves row r alone, maps every other row (the objective
     too) to (p * T[i] - T[i][s] * T[r]) // D, and sets D = p. Each entry is
-    a minor of the integer input, so every division is exact.
+    a minor of the integer input, so every division is exact. On a w column
+    the pivot row is -T[r]. When p == D only the rows with T[i][s] != 0
+    change, and only where T[r] is nonzero (`exactalg.bareiss_pivot`).
     """
     m = len(rows)
-    nonartificial = 2 * k + m
-    rhs_col = nonartificial
+    rhs_col = k + m
     tableau: list[list[int]] = []
     for r_i, (coeffs, rhs) in enumerate(rows):
         sgn = 1 if rhs >= 0 else -1
-        row = [0] * (nonartificial + 1)
-        for j in range(k):
-            row[j] = sgn * coeffs[j]
-            row[k + j] = -sgn * coeffs[j]
-        row[2 * k + r_i] = -sgn
+        row = [sgn * c for c in coeffs] + [0] * (m + 1)
+        row[k + r_i] = -sgn
         row[rhs_col] = sgn * rhs
         tableau.append(row)
-    basis = [nonartificial + i for i in range(m)]
-    z = [sum(col) for col in zip(*tableau)]
+    tableau.append([sum(col) for col in zip(*tableau)])  # the objective, row m
+    # (stored column, sign) of the columns u, w = -u, surplus, in Bland's order
+    columns = [(j, 1) for j in range(k)] + [(j, -1) for j in range(k)] + [(k + i, 1) for i in range(m)]
+    basis = [2 * k + m + i for i in range(m)]  # full column indices, artificials last
     den = 1
 
     while True:
-        enter = next((j for j in range(nonartificial) if z[j] > 0), None)
+        z = tableau[m]
+        enter = next((j for j, (c, sign) in enumerate(columns) if sign * z[c] > 0), None)
         if enter is None:
             break
+        col, sign = columns[enter]
         # Bland's ratio test, min T[i][rhs] / T[i][enter] over positive
         # entries, compared by cross-multiplying.
         leave = None
         for i in range(m):
-            a = tableau[i][enter]
+            a = sign * tableau[i][col]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                mine = tableau[i][rhs_col] * tableau[leave][enter]
+                mine = tableau[i][rhs_col] * sign * tableau[leave][col]
                 best = tableau[leave][rhs_col] * a
                 if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return None  # objective unbounded; cannot occur for phase one
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for i in range(m):
-            if i != leave:
-                tableau[i] = bareiss_step(tableau[i], pivot_row, enter, p, den)
-        z = bareiss_step(z, pivot_row, enter, p, den)
-        den = p
+        pivot_row = tableau[leave] if sign > 0 else [-b for b in tableau[leave]]
+        bareiss_pivot(tableau, leave, pivot_row, col, den)
+        den = pivot_row[col]
         basis[leave] = enter
 
-    if z[rhs_col] != 0:
+    if tableau[m][rhs_col] != 0:
         return None
     x = [0] * k
     for i, b in enumerate(basis):

@@ -17,6 +17,7 @@ from acyclo import (
     boundary_matrix,
     complete_hypergraph,
     cycle_space_dim,
+    ehrhart,
     ehrhart_fit_check,
     enumerate_vertices,
     face_lattice,
@@ -143,7 +144,7 @@ def test_criterion_06_ehrhart_cross_checks(capsys):
     ]
     ok = True
     for h in inputs:
-        fit = ehrhart_fit_check(h)
+        fit = ehrhart_fit_check(h, ehrhart(h).coefficients)
         if not fit.agreement:
             ok = False
         if lattice_point_count(h) != lattice_points_direct(h, 1):

@@ -15,6 +15,7 @@ from acyclo import (
     duality_volume_check,
     ehrhart,
     enumerate_spanning_hyperforests,
+    hypertree_census,
     kalai_census,
     kirchhoff_tree_count,
     lattice_point_count,
@@ -25,10 +26,8 @@ from acyclo import (
     volume,
 )
 from acyclo.census import (
-    DEFAULT_SUBSET_BUDGET,
     _cone_columns,
     _forest_nodes,
-    _hypertree_histogram,
     shard_prefixes,
 )
 from acyclo.complexes import edge_columns
@@ -387,15 +386,10 @@ def test_cone_pivot_is_the_torsion_order_on_random_hypergraphs(n, d, num_edges, 
         assert torsion_rowreduce(SubcomplexSelection(h, chosen)) == order
 
 
-def squared_torsion_total(h):
-    histogram = _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None)
-    return sum(order * order * count for order, count in histogram.items())
-
-
 def test_matrix_tree_sum_equals_the_census():
     for (n, d), want in [((6, 2), 6**6), ((7, 4), 7**5)]:
         h = complete_hypergraph(n, d)
-        assert matrix_tree_sum(h) == squared_torsion_total(h) == want
+        assert matrix_tree_sum(h) == hypertree_census(h).kalai_sum == want
     rng = random.Random(2009)
     sizes = {(6, 1): 8, (7, 1): 10, (6, 2): 13, (7, 2): 18, (6, 3): 12, (7, 3): 23}
     nonzero = 0
@@ -403,7 +397,7 @@ def test_matrix_tree_sum_equals_the_census():
         n, d = 6 + i % 2, 1 + i // 2 % 3
         h = random_hypergraph(rng, n, d, sizes[n, d])
         total = matrix_tree_sum(h)
-        assert total == squared_torsion_total(h)
+        assert total == hypertree_census(h).kalai_sum
         nonzero += total > 0
     assert nonzero >= 10
 

@@ -332,6 +332,27 @@ def test_signs_with_leading_minus(capsys):
     assert report["acyclic"] is True
 
 
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """Exit codes and stdout of calls in one process on the shared parser are
+    those of the same calls on a parser built afresh for each."""
+    argvs = [
+        ["volume", "--complete", "4", "1", "--oracle"],
+        ["volume", "--complete", "4", "1"],
+        ["faces", "--complete", "3", "1", "--oracle"],  # exit 2: faces takes no --oracle
+        ["tournament-check", "--complete", "4", "1", "--signs", "------"],
+        ["volume"],  # exit 2: no source
+        ["kalai-census", "--complete", "4", "2", "--format", "csv"],
+    ]
+    shared = [run_cli(argv, capsys) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_cli(argv, capsys) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 2, 0]
+    assert "oracle_reports" in shared[0][1] and "oracle_reports" not in shared[1][1]
+    assert json.loads(shared[3][1])["acyclic"] is True
+
+
 def test_negative_budget_rejected(capsys):
     code = main(["volume", "--complete", "4", "1", "--budget", "-5"])
     captured = capsys.readouterr()
@@ -511,8 +532,8 @@ def test_oracle_computes_each_value_once(argv, module, name, monkeypatch, capsys
 
 
 def test_ehrhart_oracle_computes_the_polynomial_once(monkeypatch, capsys):
+    assert not hasattr(oracle, "ehrhart")  # the fit check is given the polynomial
     calls = _count_calls(monkeypatch, census, "ehrhart")
-    monkeypatch.setattr(oracle, "ehrhart", census.ehrhart)
     code, out = run_cli(["ehrhart", "--complete", "4", "1", "--oracle"], capsys)
     assert code == 0
     assert [r["agreement"] for r in json.loads(out)["oracle_reports"]] == [True]

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -537,6 +538,19 @@ def test_fm_and_simplex_agree_on_larger_systems(monkeypatch):
                 for coeffs, rhs in ges:
                     assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
     assert verdicts == {True, False}
+
+
+def test_phase_one_simplex_matches_its_golden():
+    """(k, rows) -> (X, D) or None, recorded from the full-width dense-pivot
+    simplex: the 40 LPs of the tournaments benchmark at seed 1, and
+    `_random_system` systems whose runs hit ratio-test ties, degenerate
+    pivots, entering w columns and pivots p != D."""
+    golden = json.loads((Path(__file__).parent / "testdata" / "simplex_golden.json").read_text())
+    assert len(golden["tournaments"]) == 40
+    for system in golden["tournaments"] + golden["random"]:
+        rows = [(tuple(coeffs), rhs) for coeffs, rhs in system["rows"]]
+        point = ratlp._phase_one_simplex(system["k"], rows)
+        assert (point and list(point)) == system["point"]
 
 
 def random_3_uniform(seed, n=6, edges=7):
