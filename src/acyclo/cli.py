@@ -335,7 +335,7 @@ def _faces(args, h, report) -> None:
 
 def _facets(args, h, report) -> None:
     lattice = faces.face_lattice(h, **_budget_kwargs(args))
-    complete = h == complete_hypergraph(h.n, h.d)
+    complete = len(h.edges) == comb(h.n, h.d + 1)  # edges are distinct (d+1)-subsets of 1..n
     partition_set = _partition_facet_patterns(h) if complete else None
     entries = [
         {
@@ -350,15 +350,21 @@ def _facets(args, h, report) -> None:
     report["facets"] = entries
 
 
-def _tournament_check(args, h, report) -> None:
-    if h != complete_hypergraph(h.n, h.d):
-        raise HypergraphParseError("tournament-check requires a complete hypergraph")
+def _tournament_pattern(signs: str, edge_count: int) -> SignPattern:
+    """The orientation that --signs spells, one '+' or '-' per edge."""
     try:
-        pattern = SignPattern.from_string(args.signs)
+        pattern = SignPattern.from_string(signs)
     except ValueError as exc:
         raise HypergraphParseError(f"--signs: {exc}") from exc
-    if len(pattern.values) != len(h.edges) or not pattern.is_proper:
-        raise HypergraphParseError(f"--signs: expected {len(h.edges)} characters from '+-'")
+    if len(pattern.values) != edge_count or not pattern.is_proper:
+        raise HypergraphParseError(f"--signs: expected {edge_count} characters from '+-'")
+    return pattern
+
+
+def _tournament_check(args, h, report) -> None:
+    if len(h.edges) != comb(h.n, h.d + 1):  # edges are distinct (d+1)-subsets of 1..n
+        raise HypergraphParseError("tournament-check requires a complete hypergraph")
+    pattern = _tournament_pattern(args.signs, len(h.edges))
     report["signs"] = args.signs
     report["acyclic"] = faces.is_acyclic_hypertournament(Hypertournament(h.n, h.d, pattern.values))
 
@@ -401,6 +407,8 @@ def run(args: argparse.Namespace) -> int:
         raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
     if args.complete is not None:
         _check_complete(*args.complete, args.budget)
+        if args.signs is not None:  # checked against the edge count before the edges are built
+            _tournament_pattern(args.signs, comb(args.complete[0], args.complete[1] + 1))
     command = COMMANDS[args.subcommand]
     report: dict = {"command": args.subcommand}
     if "--input" in command.flags:

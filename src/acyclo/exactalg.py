@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Sequence
 
@@ -372,15 +372,10 @@ def lead(x: int, b: int) -> int:
     return ((x >> ((x & -x).bit_length() - 1) // b * b) + half & (1 << b) - 1) - half
 
 
-def primitive(values: Sequence) -> tuple[int, ...]:
-    """The primitive integer vector on the ray of a vector of ints or
-    Fractions: sign kept, zeros stay zeros."""
-    try:
-        g = gcd(*values)
-    except TypeError:  # Fractions: clear the denominators first
-        scale = lcm(*(x.denominator for x in values))
-        values = [x.numerator * (scale // x.denominator) for x in values]
-        g = gcd(*values)
+def primitive(values: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of an integer vector: sign
+    kept, zeros stay zeros."""
+    g = gcd(*values)
     if g <= 1:
         return tuple(values)
     return tuple(x // g for x in values)

@@ -102,7 +102,7 @@ class FaceDescriptor:
 @lru_cache(maxsize=None)
 def _support_rows(h: Hypergraph):
     """A set of linearly independent rows of the boundary matrix, plus each
-    edge's column restricted to them, and its negation.
+    edge's column restricted to them, and the edge's three LP rows.
 
     The pairings of a cochain with the edge boundaries sweep the whole row
     space already as the cochain ranges over these coordinates alone, so
@@ -112,39 +112,38 @@ def _support_rows(h: Hypergraph):
     The rows kept all miss vertex n, as the boundary of a boundary is zero:
     the row of a d-subset F through n is a signed sum of the lex-earlier rows
     of the d-subsets that swap n in F for another vertex. So they are exactly
-    the rows that miss n when h has full rank comb(n-1, d).
+    the rows that miss n when h has full rank comb(n-1, d). An edge's LP
+    rows, indexed by its sign s (-1 reads the last), are the `ratlp` rows
+    pairing the cochain with it to 0, >= 1 and <= -1.
     """
     cols = edge_columns(h)
     ech = Echelon()
     support = tuple(r for r in range(comb(h.n, h.d)) if ech.push([c[r] for c in cols]))
     restricted = tuple(tuple(c[r] for r in support) for c in cols)
-    return support, restricted, tuple(tuple(-x for x in c) for c in restricted)
+    lp_rows = tuple((c + (0,), c + (1,), tuple(-x for x in c) + (1,)) for c in restricted)
+    return support, restricted, lp_rows
 
 
-def _solve_on_support(h: Hypergraph, assigned) -> Optional[list[Fraction]]:
-    """Values on the support rows of a cochain realizing the partial sign
-    assignment [(edge index, sign), ...], or None.
+def _solve_on_support(h: Hypergraph, signs: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """Values on the support rows of a cochain realizing the signs on the
+    first len(signs) edges, as integers X over D > 0, or None.
 
     Zero signs become exact equalities; nonzero signs become homogenized
-    strict inequalities ">= 1". Unlisted edges are unconstrained.
+    strict inequalities ">= 1". Later edges are unconstrained.
     """
-    support, restricted, negated = _support_rows(h)
-    eqs = []
-    ges = []
-    for j, s in assigned:
-        if s == 0:
-            eqs.append((restricted[j], 0))
-        else:
-            ges.append((restricted[j] if s > 0 else negated[j], 1))
+    support, _, lp_rows = _support_rows(h)
+    eqs = [lp_rows[j][0] for j, s in enumerate(signs) if s == 0]
+    ges = [lp_rows[j][s] for j, s in enumerate(signs) if s]
     return solve_feasibility(len(support), eqs, ges)
 
 
-def _embed(h: Hypergraph, values: Sequence) -> tuple[Fraction, ...]:
-    """Cochain on all (d-1)-subsets from its values on the support rows."""
+def _embed(h: Hypergraph, values: Sequence[int], den: int = 1) -> tuple[Fraction, ...]:
+    """Cochain on all (d-1)-subsets that is values / den on the support rows
+    and zero off them: the one place where witnesses become Fractions."""
     support = _support_rows(h)[0]
     witness = [Fraction(0)] * comb(h.n, h.d)
     for r, z in zip(support, values):
-        witness[r] = Fraction(z)
+        witness[r] = Fraction(z, den)
     return tuple(witness)
 
 
@@ -237,10 +236,10 @@ def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[
 def _lp_witness(h: Hypergraph, signs: list[int]) -> tuple[int, ...]:
     """Primitive integer cochain on the support rows realizing a sign prefix
     that the signed circuits admit, found by one feasibility LP."""
-    sol = _solve_on_support(h, enumerate(signs))
-    if sol is None:
+    point = _solve_on_support(h, signs)
+    if point is None:
         raise RuntimeError(f"no cochain realizes the sign prefix {signs}, which every signed circuit admits")
-    return primitive(sol)
+    return primitive(point[0])
 
 
 def _extensions(
@@ -296,8 +295,8 @@ def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[Fraction
         raise ValueError(
             f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}"
         )
-    sol = _solve_on_support(h, enumerate(sigma.values))
-    return None if sol is None else _embed(h, sol)
+    point = _solve_on_support(h, sigma.values)
+    return None if point is None else _embed(h, *point)
 
 
 def vertex_point(h: Hypergraph, sigma: SignPattern) -> tuple[int, ...]:

@@ -119,12 +119,10 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
     hi = [t * sum(max(0, c[r]) for c in cols) for r in range(ambient)]
     picked, expressions = _row_expressions(cols, ambient, [hi[r] - lo[r] for r in range(ambient)])
 
-    bound_rows = []
+    bound_rows = []  # 0 <= x_e <= t, as flat rows: coefficients, then rhs
     for e in range(num_edges):
-        unit_pos = tuple(1 if j == e else 0 for j in range(num_edges))
-        unit_neg = tuple(-1 if j == e else 0 for j in range(num_edges))
-        bound_rows.append((unit_pos, 0))
-        bound_rows.append((unit_neg, -t))
+        bound_rows.append(tuple(1 if j == e else 0 for j in range(num_edges)) + (0,))
+        bound_rows.append(tuple(-1 if j == e else 0 for j in range(num_edges)) + (-t,))
 
     rows = [tuple(c[r] for c in cols) for r in range(ambient)]
     count = 0
@@ -136,7 +134,7 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
                 break
             point.append(int(val))
         else:
-            if solve_feasibility(num_edges, list(zip(rows, point)), bound_rows) is not None:
+            if solve_feasibility(num_edges, [(*r, p) for r, p in zip(rows, point)], bound_rows) is not None:
                 count += 1
     return count
 

@@ -1,25 +1,25 @@
 """Exact rational feasibility of linear equality/inequality systems.
 
-Rows are integers: coefficients and right-hand side are ints. Callers encode
-open conditions ("> 0") as ">= 1" rows; for the homogeneous systems built
-here that homogenization is sound and complete. Equalities are eliminated
-first: they go into an `exactalg.Echelon` (fraction-free Bareiss elimination)
-with the right-hand side as last column, and each inequality is reduced
-against it, leaving the free variables only. The remaining system is decided
-by Fourier-Motzkin elimination when it has at most `FM_VARIABLE_LIMIT`
-variables, and by a phase-one simplex (Bland's rule) above that. The simplex
-pivots on integers: its tableau is an integer matrix over one common
-denominator that stores neither the w = -u half of the split variables nor
-the artificial columns, and each pivot is `exactalg.bareiss_pivot`, the step
-`Echelon` uses on every other row, sparse when the pivot equals the
-denominator. Both paths produce an exact witness on success, as integers
-over one common denominator, and back-substitution through the echelon
-fills in the pivot variables; the witness becomes `Fraction`s on return.
+A row is one flat tuple of ints, the coefficients then the right-hand side:
+(a_1, ..., a_n, b) reads a.x == b as an equality and a.x >= b as an
+inequality. Callers encode open conditions ("> 0") as ">= 1" rows; for the
+homogeneous systems built here that homogenization is sound and complete.
+Equalities are eliminated first: they go into an `exactalg.Echelon`
+(fraction-free Bareiss elimination) as they are, and each inequality is
+reduced against it, leaving the free variables only. The remaining system is
+decided by Fourier-Motzkin elimination when it has at most
+`FM_VARIABLE_LIMIT` variables, and by a phase-one simplex (Bland's rule)
+above that. The simplex pivots on integers: its tableau is an integer matrix
+over one common denominator that stores neither the w = -u half of the split
+variables nor the artificial columns, and each pivot is
+`exactalg.bareiss_pivot`, the step `Echelon` uses on every other row, sparse
+when the pivot equals the denominator. Both paths produce an exact point as
+integers over one common denominator, back-substitution through the echelon
+fills in the pivot variables, and `solve_feasibility` returns it so.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Optional, Sequence
@@ -28,21 +28,19 @@ from .exactalg import Echelon, bareiss_pivot, primitive
 
 FM_VARIABLE_LIMIT = 12
 
-_IntRow = tuple[tuple[int, ...], int]  # (coefficients, rhs), read as coeffs . x >= rhs
+_Row = tuple[int, ...]  # coefficients then rhs, read as coeffs . x >= rhs
 
 
 def solve_feasibility(
-    n_vars: int,
-    equalities: Sequence[tuple[Sequence[int], int]],
-    inequalities: Sequence[tuple[Sequence[int], int]],
-) -> Optional[list[Fraction]]:
-    """Find x with coeffs.x == rhs for every equality and coeffs.x >= rhs for
-    every inequality, or return None if no such x exists."""
-    # Each row carries its rhs as the last column, so a pivot there reads
-    # 0 == rhs != 0.
+    n_vars: int, equalities: Sequence[Sequence[int]], inequalities: Sequence[Sequence[int]]
+) -> Optional[tuple[list[int], int]]:
+    """A point x with coeffs.x == rhs for every equality row and coeffs.x >= rhs
+    for every inequality row, as integers X over one denominator D > 0,
+    x = X / D with len(X) == n_vars; or None if no such x exists."""
+    # The rhs is the last column, so a pivot there reads 0 == rhs != 0.
     ech = Echelon()
-    for coeffs, rhs in equalities:
-        if ech.push((*coeffs, rhs)) and ech.pivots[-1] == n_vars:
+    for row in equalities:
+        if ech.push(row) and ech.pivots[-1] == n_vars:
             return None
     pivot_set = set(ech.pivots)
     free_vars = [j for j in range(n_vars) if j not in pivot_set]
@@ -52,15 +50,15 @@ def solve_feasibility(
     # zero on the pivot columns; a negative pivot flips the inequality.
     flip = ech.last_pivot < 0
     free_cols = free_vars + [n_vars]
-    reduced: list[_IntRow] = []
-    for coeffs, rhs in inequalities:
-        row = ech.reduce((*coeffs, rhs))
+    reduced: list[_Row] = []
+    for row in inequalities:
+        row = ech.reduce(row)
         row = primitive([-row[j] if flip else row[j] for j in free_cols])
         if not any(row[:k]):
             if row[k] > 0:
                 return None
             continue
-        reduced.append((row[:k], row[k]))
+        reduced.append(row)
 
     if not reduced:
         point: Optional[tuple[list[int], int]] = ([0] * k, 1)
@@ -71,42 +69,43 @@ def solve_feasibility(
     if point is None:
         return None
 
-    # x / den extended by -1 pairs to zero with every equality row (coeffs, rhs).
+    # x / den extended by -1 pairs to zero with every equality row.
     x_free, den = point
     x = [0] * n_vars + [-den]
     for pos, f in enumerate(free_vars):
         x[f] = x_free[pos]
     x, den = ech.solve(x, den)
-    return [Fraction(x[j], den) for j in range(n_vars)]
+    return x[:n_vars], den
 
 
-def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], int]]:
+def _fourier_motzkin(k: int, rows: list[_Row]) -> Optional[tuple[list[int], int]]:
     """A point of the rows as integers X over one denominator D > 0, x = X / D,
     or None. Each step eliminates the remaining variable with the fewest
     pos * neg combinations, the first in index order on a tie."""
-    active: set[_IntRow] = set(rows)
+    active: set[_Row] = set(rows)
     remaining = list(range(k))
-    stack: list[tuple[int, list[_IntRow], list[_IntRow]]] = []
+    stack: list[tuple[int, list[_Row], list[_Row]]] = []
     while remaining:
-        pos, neg = [0] * k, [0] * k  # eliminated variables are zero in every active row
-        for cs, _ in active:
-            for j, c in enumerate(cs):
+        # eliminated variables are zero in every active row; slot k counts the rhs
+        pos, neg = [0] * (k + 1), [0] * (k + 1)
+        for r in active:
+            for j, c in enumerate(r):
                 if c:
                     (pos if c > 0 else neg)[j] += 1
         v = min(remaining, key=lambda j: pos[j] * neg[j])
         pos_rows, neg_rows, zero_rows = [], [], []
         for r in active:
-            c = r[0][v]
+            c = r[v]
             (pos_rows if c > 0 else neg_rows if c < 0 else zero_rows).append(r)
         active = set(zero_rows)
         stack.append((v, pos_rows, neg_rows))
-        for cp, bp in pos_rows:
-            a = cp[v]
-            for cn, bn in neg_rows:
-                e = -cn[v]
-                combo = primitive([e * p + a * n for p, n in zip(cp, cn)] + [e * bp + a * bn])
+        for rp in pos_rows:
+            a = rp[v]
+            for rn in neg_rows:
+                e = -rn[v]
+                combo = primitive([e * p + a * n for p, n in zip(rp, rn)])
                 if any(combo[:k]):
-                    active.add((combo[:k], combo[k]))
+                    active.add(combo)
                 elif combo[k] > 0:
                     return None
         remaining.remove(v)
@@ -117,8 +116,8 @@ def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], i
     x, den = [0] * k, 1
     for v, pos_rows, neg_rows in reversed(stack):
         sign, best = (1 if pos_rows else -1), None
-        for cs, rhs in pos_rows or neg_rows:
-            num, dv = sign * (rhs * den - sum(map(mul, cs, x))), sign * cs[v]
+        for row in pos_rows or neg_rows:
+            num, dv = sign * (row[k] * den - sum(map(mul, row, x))), sign * row[v]
             if best is None or sign * (num * best[1] - best[0] * dv) > 0:
                 best = num, dv
         if best is not None:
@@ -130,7 +129,7 @@ def _fourier_motzkin(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], i
     return x, den
 
 
-def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int], int]]:
+def _phase_one_simplex(k: int, rows: list[_Row]) -> Optional[tuple[list[int], int]]:
     """Feasibility of coeffs.x >= rhs over free x, by minimizing artificials;
     the point as integers X over one denominator D > 0, x = X / D.
 
@@ -152,12 +151,11 @@ def _phase_one_simplex(k: int, rows: list[_IntRow]) -> Optional[tuple[list[int],
     m = len(rows)
     rhs_col = k + m
     tableau: list[list[int]] = []
-    for r_i, (coeffs, rhs) in enumerate(rows):
-        sgn = 1 if rhs >= 0 else -1
-        row = [sgn * c for c in coeffs] + [0] * (m + 1)
-        row[k + r_i] = -sgn
-        row[rhs_col] = sgn * rhs
-        tableau.append(row)
+    for r_i, row in enumerate(rows):
+        sgn = 1 if row[k] >= 0 else -1
+        t = [sgn * c for c in row[:k]] + [0] * m + [sgn * row[k]]
+        t[k + r_i] = -sgn
+        tableau.append(t)
     tableau.append([sum(col) for col in zip(*tableau)])  # the objective, row m
     # (stored column, sign) of the columns u, w = -u, surplus, in Bland's order
     columns = [(j, 1) for j in range(k)] + [(j, -1) for j in range(k)] + [(k + i, 1) for i in range(m)]

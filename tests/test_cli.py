@@ -332,6 +332,43 @@ def test_signs_with_leading_minus(capsys):
     assert report["acyclic"] is True
 
 
+def test_wrong_length_signs_fail_before_the_hypergraph_is_built(monkeypatch, capsys):
+    # complete(229, 2) has 1975354 edges; the length check needs only their count
+    def refuse(n, d):
+        raise AssertionError(f"complete_hypergraph({n}, {d}) built")
+
+    monkeypatch.setattr(cli, "complete_hypergraph", refuse)
+    code = main(["tournament-check", "--complete", "229", "2", "--signs", "+"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--signs: expected 1975354 characters from '+-'" in captured.err
+
+
+def _missing_one_edge(tmp_path, n, d):
+    h = complete_hypergraph(n, d)
+    path = tmp_path / f"missing_one_{n}_{d}.json"
+    path.write_text(serialize_hypergraph(Hypergraph(n, d, h.edges[1:])))
+    return path
+
+
+def test_tournament_check_rejects_a_non_complete_input(tmp_path, capsys):
+    path = _missing_one_edge(tmp_path, 4, 1)
+    code = main(["tournament-check", "--input", str(path), "--signs", "+++++"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tournament-check requires a complete hypergraph" in captured.err
+
+
+def test_facets_of_a_non_complete_input_are_not_partition_checked(tmp_path, capsys):
+    code, out = run_cli(["facets", "--input", str(_missing_one_edge(tmp_path, 4, 2))], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["facets"]
+    assert all(entry["partition_induced"] is None for entry in report["facets"])
+
+
 def test_one_parser_serves_every_call(monkeypatch, capsys):
     """Exit codes and stdout of calls in one process on the shared parser are
     those of the same calls on a parser built afresh for each."""

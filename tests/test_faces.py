@@ -466,6 +466,17 @@ def _via_fm_and_simplex(monkeypatch, nv, eqs, ges):
     return via_fm, solve_feasibility(nv, eqs, ges)
 
 
+def _assert_solves(point, nv, eqs, ges):
+    """The point (X, D), x = X / D, meets every flat row: coeffs.X == rhs.D
+    on the equalities and coeffs.X >= rhs.D on the inequalities."""
+    xs, den = point
+    assert len(xs) == nv and den > 0
+    for row in eqs:
+        assert sum(c * x for c, x in zip(row, xs)) == row[nv] * den
+    for row in ges:
+        assert sum(c * x for c, x in zip(row, xs)) >= row[nv] * den
+
+
 def test_fm_and_simplex_agree(monkeypatch):
     rng = random.Random(41)
     for _ in range(60):
@@ -473,17 +484,14 @@ def test_fm_and_simplex_agree(monkeypatch):
         eqs = []
         ges = []
         for _ in range(rng.randint(0, 2)):
-            eqs.append(([rng.randint(-3, 3) for _ in range(nv)], 0))
+            eqs.append((*(rng.randint(-3, 3) for _ in range(nv)), 0))
         for _ in range(rng.randint(1, 4)):
-            ges.append(([rng.randint(-3, 3) for _ in range(nv)], rng.randint(-2, 2)))
+            ges.append((*(rng.randint(-3, 3) for _ in range(nv)), rng.randint(-2, 2)))
         via_fm, via_simplex = _via_fm_and_simplex(monkeypatch, nv, eqs, ges)
         assert (via_fm is None) == (via_simplex is None)
-        for sol in (via_fm, via_simplex):
-            if sol is not None:
-                for coeffs, rhs in eqs:
-                    assert sum(c * x for c, x in zip(coeffs, sol)) == rhs
-                for coeffs, rhs in ges:
-                    assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
+        for point in (via_fm, via_simplex):
+            if point is not None:
+                _assert_solves(point, nv, eqs, ges)
 
 
 def _random_system(rng):
@@ -504,20 +512,20 @@ def _random_system(rng):
     eqs = []
     for _ in range(rng.randint(0, 3)):
         coeffs = coefficients()
-        eqs.append((coeffs, value(coeffs) if point else rng.randint(-2, 2)))
+        eqs.append((*coeffs, value(coeffs) if point else rng.randint(-2, 2)))
     ges = []
     for _ in range(rng.randint(3, 9)):
         coeffs = coefficients()
         rhs = value(coeffs) - rng.choice((0, 0, 1, 2)) if point else rng.randint(-3, 2)
-        ges.append((coeffs, rhs))
+        ges.append((*coeffs, rhs))
     while len(eqs) + len(ges) < 14 and rng.random() < 0.6:
-        coeffs, rhs = rng.choice(ges)
+        *coeffs, rhs = rng.choice(ges)
         c = rng.choice((1, 2, 3, -1))
         if c > 0:
-            ges.append(([c * x for x in coeffs], c * rhs))
+            ges.append((*(c * x for x in coeffs), c * rhs))
         else:
             top = value(coeffs) if point else rhs + rng.choice((-1, 0, 1))
-            ges.append(([-x for x in coeffs], -top))
+            ges.append((*(-x for x in coeffs), -top))
     return nv, eqs, ges, point is not None
 
 
@@ -531,12 +539,9 @@ def test_fm_and_simplex_agree_on_larger_systems(monkeypatch):
         if planted:
             assert via_simplex is not None
         verdicts.add(via_simplex is None)
-        for sol in (via_fm, via_simplex):
-            if sol is not None:
-                for coeffs, rhs in eqs:
-                    assert sum(c * x for c, x in zip(coeffs, sol)) == rhs
-                for coeffs, rhs in ges:
-                    assert sum(c * x for c, x in zip(coeffs, sol)) >= rhs
+        for point in (via_fm, via_simplex):
+            if point is not None:
+                _assert_solves(point, nv, eqs, ges)
     assert verdicts == {True, False}
 
 
@@ -548,8 +553,23 @@ def test_phase_one_simplex_matches_its_golden():
     golden = json.loads((Path(__file__).parent / "testdata" / "simplex_golden.json").read_text())
     assert len(golden["tournaments"]) == 40
     for system in golden["tournaments"] + golden["random"]:
-        rows = [(tuple(coeffs), rhs) for coeffs, rhs in system["rows"]]
+        rows = [(*coeffs, rhs) for coeffs, rhs in system["rows"]]
         point = ratlp._phase_one_simplex(system["k"], rows)
+        assert (point and list(point)) == system["point"]
+
+
+def test_fourier_motzkin_matches_its_golden():
+    """(k, rows) -> (X, D) or None, recorded from the (coefficients, rhs)
+    pair-row elimination: every system `face_lattice(A(4,2))` sends to
+    Fourier-Motzkin, and systems left by seeded `_random_system`s, many with
+    tied bounds in the back-substitution. The rows' order in the active set
+    follows their hashes; tied bounds are equal rationals, so the point
+    does not depend on it."""
+    golden = json.loads((Path(__file__).parent / "testdata" / "fm_golden.json").read_text())
+    assert len(golden["face_lattice_A(4,2)"]) == 25
+    for system in golden["face_lattice_A(4,2)"] + golden["random"]:
+        rows = [(*coeffs, rhs) for coeffs, rhs in system["rows"]]
+        point = ratlp._fourier_motzkin(system["k"], rows)
         assert (point and list(point)) == system["point"]
 
 

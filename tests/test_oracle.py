@@ -142,11 +142,11 @@ def naive_box_count(h, t):
     hi = [t * sum(max(0, c[r]) for c in cols) for r in range(ambient)]
     bounds = []
     for e in range(num_edges):
-        bounds.append((tuple(1 if j == e else 0 for j in range(num_edges)), 0))
-        bounds.append((tuple(-1 if j == e else 0 for j in range(num_edges)), -t))
+        bounds.append((*(1 if j == e else 0 for j in range(num_edges)), 0))
+        bounds.append((*(-1 if j == e else 0 for j in range(num_edges)), -t))
     count = 0
     for point in product(*[range(lo[r], hi[r] + 1) for r in range(ambient)]):
-        eqs = [(tuple(cols[j][r] for j in range(num_edges)), point[r]) for r in range(ambient)]
+        eqs = [(*(cols[j][r] for j in range(num_edges)), point[r]) for r in range(ambient)]
         if solve_feasibility(num_edges, eqs, bounds) is not None:
             count += 1
     return count
