@@ -5,6 +5,11 @@ value on a permuted vertex tuple picks up the sign of the permutation. A
 pattern is valid when some cochain on the (d-1)-subsets has a coboundary with
 exactly those signs; valid patterns ordered by refinement form the face
 lattice, vertices being the proper (zero-free) ones.
+
+The valid patterns are the covectors of the oriented matroid of the edge
+columns, so the vertex and face searches decide them from its signed
+circuits and solve no LP; the face lattice then solves one LP per facet, to
+build the witnesses (see `face_lattice`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .census import Shard, shard_prefixes
 from .complexes import (
     Hypergraph,
     complete_hypergraph,
-    cycle_space_dim,
     edge_columns,
     permutation_sign,
 )
@@ -147,10 +151,6 @@ def _embed(h: Hypergraph, values: Sequence[int], den: int = 1) -> tuple[Fraction
     return tuple(witness)
 
 
-def _pair(column: Sequence[int], w: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(column, w))
-
-
 def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
     """The signed circuits of the edge columns on the support rows, listed
     under their largest edge, each signed + there.
@@ -220,9 +220,16 @@ def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[
     orthogonal to every signed circuit inside 0..k: it agrees with the
     circuit on some edge exactly when it disagrees with it on some edge
     (covector axioms: Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
-    Oriented Matroids; for a zero-free vector this is Gordan's alternative). The prefix passed the circuits inside 0..k-1, so only
+    Oriented Matroids; for a zero-free vector this is Gordan's
+    alternative). The prefix passed the circuits inside 0..k-1, so only
     those ending at k are left, and each is + at k: + agrees there, so it
     needs a disagreement on the prefix, and - needs an agreement.
+
+    0 needs no circuit test of its own. The cochains realizing the prefix
+    form a relatively open convex cone, whose values on edge k fill {0},
+    the positive reals, the negative reals, or all reals: the prefix's
+    one-element extensions are {+}, {-}, {0} or all three. So 0 extends it
+    exactly when + and - both do or neither does.
     """
     up = down = True
     for cp, cm in ending:
@@ -231,62 +238,6 @@ def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[
         if down and not (cp & plus or cm & minus):
             down = False
     return up, down
-
-
-def _lp_witness(h: Hypergraph, signs: list[int]) -> tuple[int, ...]:
-    """Primitive integer cochain on the support rows realizing a sign prefix
-    that the signed circuits admit, found by one feasibility LP."""
-    point = _solve_on_support(h, signs)
-    if point is None:
-        raise RuntimeError(f"no cochain realizes the sign prefix {signs}, which every signed circuit admits")
-    return primitive(point[0])
-
-
-def _extensions(
-    h: Hypergraph, signs: list[int], w: tuple[int, ...], ending: Sequence[tuple[int, int]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The realizable one-edge extensions of the sign prefix `signs`, each
-    with a witness, in the order +, -, 0, given a witness w of the prefix on
-    the support rows and the signed circuits `ending` at the next edge.
-
-    The circuits decide which children exist; an LP only builds the witness
-    of a child they admit, so it is always feasible. The cochains realizing
-    a prefix form a convex cone. Let v be w's pairing with the next edge.
-    - v != 0 with sign s: w realizes s. If the circuits admit -s, one LP
-      finds its witness w'. 0 is realizable exactly when -s is:
-      |v'|.w + |v|.w' vanishes on the edge and keeps every earlier sign and
-      zero, and conversely u - eps.w realizes -s whenever u realizes 0.
-    - v == 0: w realizes 0. If the circuits admit +, one LP finds its
-      witness w+. Then c.w - w+ realizes - once c.|<e, w>| > |<e, w+>| on
-      every earlier nonzero edge e, and symmetrically - is realizable only
-      if + is.
-    """
-    restricted = _support_rows(h)[1]
-    column = restricted[len(signs)]
-    plus = sum(1 << j for j, s in enumerate(signs) if s > 0)
-    minus = sum(1 << j for j, s in enumerate(signs) if s < 0)
-    up, down = _extends(plus, minus, ending)
-    v = _pair(column, w)
-    found: dict[int, tuple[int, ...]] = {}
-    if v:
-        s = 1 if v > 0 else -1
-        found[s] = w
-        if down if s > 0 else up:
-            other = _lp_witness(h, signs + [-s])
-            found[-s] = other
-            v_other = _pair(column, other)
-            found[0] = primitive([abs(v_other) * a + abs(v) * b for a, b in zip(w, other)])
-    else:
-        found[0] = w
-        if up:
-            w_up = _lp_witness(h, signs + [1])
-            found[1] = w_up
-            c = 1
-            for j, sj in enumerate(signs):
-                if sj:
-                    c = max(c, abs(_pair(restricted[j], w_up)) // abs(_pair(restricted[j], w)) + 1)
-            found[-1] = primitive([c * a - b for a, b in zip(w, w_up)])
-    return [(s, found[s]) for s in (1, -1, 0) if s in found]
 
 
 def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[Fraction, ...]]:
@@ -388,48 +339,78 @@ class FaceLattice:
         return next(f for f in self.faces if all(v == 0 for v in f.pattern.values))
 
     def facets(self) -> tuple[FaceDescriptor, ...]:
-        target = cycle_space_dim(self.hypergraph.n, self.hypergraph.d) - 1
+        """The faces one dimension below the full face, whose dimension is
+        the rank of the edge columns: cycle_space_dim(n, d) at full rank."""
+        target = self.full_face().dimension - 1
         return tuple(f for f in self.faces if f.dimension == target)
 
 
-def _zero_set_dimension(h: Hypergraph, values: Sequence[int]) -> int:
-    """Rank of the zero edges' columns, which their restriction to the
-    support rows keeps."""
-    support, restricted, _ = _support_rows(h)
-    zero_cols = [restricted[j] for j, s in enumerate(values) if s == 0]
-    return rank(IntMatrix.from_rows(zero_cols, cols=len(support)))
-
-
 def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLattice:
-    """Every valid sign pattern with its dimension and witness, as a lattice."""
+    """Every valid sign pattern with its dimension and witness, as a lattice.
+
+    Depth-first search over -1/0/+1 edge assignments, in the shape of
+    `enumerate_vertices`, that keeps a + or - child when the signed circuits
+    ending at its edge admit it and the 0 child when they admit both or
+    neither (see `_extends`). A face's dimension is the rank of its zero
+    edges' columns, one `rank` call per face.
+
+    The search solves no LP; the witnesses come from the facets, the faces
+    one dimension below the full face. A facet's realizing cochains on the
+    support rows are the positive multiples of one vector, as its zero
+    columns span a hyperplane there, so one LP per facet and `primitive`
+    give its witness whichever way the LP solves. The cochains realizing a
+    face are the relative interior of its normal cone, which the support
+    rows make pointed and which is spanned by the witnesses of the facets
+    whose patterns the face refines; their sum is the face's witness, 0 for
+    the full face.
+    """
     num_edges = len(h.edges)
     bound = 3 ** num_edges
     if bound > budget:
         raise BudgetExceededError(bound, budget, "face enumeration")
-    faces: list[FaceDescriptor] = []
-    _collect_faces(h, _signed_circuits(h), [], (0,) * len(_support_rows(h)[0]), faces)
+    circuits = _signed_circuits(h)
+    support, restricted, _ = _support_rows(h)
+    records = []  # (plus mask, minus mask, dimension), one per face
+    stack = [(0, 0, 0)]
+    while stack:
+        k, plus, minus = stack.pop()
+        if k == num_edges:
+            zero_cols = [restricted[j] for j in range(num_edges) if not (plus | minus) >> j & 1]
+            records.append((plus, minus, rank(IntMatrix.from_rows(zero_cols, cols=len(support)))))
+            continue
+        up, down = _extends(plus, minus, circuits[k])
+        if up == down:
+            stack.append((k + 1, plus, minus))
+        if down:
+            stack.append((k + 1, plus, minus | 1 << k))
+        if up:  # popped first
+            stack.append((k + 1, plus | 1 << k, minus))
+    facet_dimension = max(dimension for _, _, dimension in records) - 1  # the full face's, less one
+    normals = []
+    for plus, minus, dimension in records:
+        if dimension == facet_dimension:
+            signs = _signs(plus, minus, num_edges)
+            point = _solve_on_support(h, signs)
+            if point is None:
+                raise RuntimeError(f"no cochain realizes the facet {signs}, which every signed circuit admits")
+            normals.append((plus, minus, primitive(point[0])))
+    faces = []
+    for plus, minus, dimension in records:
+        w = (0,) * len(support)
+        for facet_plus, facet_minus, normal in normals:
+            if facet_plus & plus == facet_plus and facet_minus & minus == facet_minus:
+                w = tuple(map(add, w, normal))
+        faces.append(FaceDescriptor(SignPattern(_signs(plus, minus, num_edges)), dimension, _embed(h, primitive(w))))
     return FaceLattice(h, faces)
 
 
-def _collect_faces(h: Hypergraph, circuits, signs: list[int], w: tuple[int, ...], out: list) -> None:
-    """Append to out every face whose pattern extends the sign prefix
-    `signs`, which w realizes, given the signed circuits by largest edge.
-
-    A module function rather than a closure: a recursive closure is a
-    reference cycle, which would keep the faces alive until the cyclic
-    garbage collector runs, after the lattice itself is gone.
-    """
-    if len(signs) == len(h.edges):
-        out.append(FaceDescriptor(SignPattern(tuple(signs)), _zero_set_dimension(h, signs), _embed(h, w)))
-        return
-    for s, child in _extensions(h, signs, w, circuits[len(signs)]):
-        signs.append(s)
-        _collect_faces(h, circuits, signs, child, out)
-        signs.pop()
+def _signs(plus: int, minus: int, num_edges: int) -> tuple[int, ...]:
+    """The sign vector with these plus and minus edge masks."""
+    return tuple(1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in range(num_edges))
 
 
 def facets(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> tuple[FaceDescriptor, ...]:
-    """Faces one dimension below the top cycle-space dimension."""
+    """Faces one dimension below the full face."""
     return face_lattice(h, budget=budget).facets()
 
 

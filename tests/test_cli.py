@@ -243,10 +243,12 @@ def test_golden_outputs(capsys):
 
 
 # sha256 of stdout: the A(5,2) report holds all 8349 face witnesses, so the
-# digests pin the feasibility LPs' exact answers and the JSON layout.
+# digests pin the witness rule (each facet's primitive kernel vector, each
+# other face's primitive sum of its facets'), which no LP path moves, and the
+# JSON layout.
 STDOUT_SHA256 = {
-    ("faces", "5", "2"): "0f9f3015e75ad691a73087449ffaf5b51831c9fe0a09402b88b985802a75abb9",
-    ("faces", "5", "1"): "736b5b6bc5737cdce84944b70767119032347a1434171ed02cb914d04d9e9497",
+    ("faces", "5", "2"): "515986215f8d0351323d1b4b82d7384f96eb5c57d81b21993b70144b4280c53c",
+    ("faces", "5", "1"): "979b3ca5edc426b3a672a80c27cd80aa5cd6b1cb401ab631e48bade0aa490a02",
     ("vertices", "6", "1"): "6017c3e374922680ed13f8b58e07474af4f7aa0e618333a979545458dcb4b780",
 }
 
@@ -256,6 +258,27 @@ def test_stdout_is_byte_identical(command, n, d, capsys):
     code, out = run_cli([command, "--complete", n, d], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command, n, d]
+
+
+# sha256 of the faces report with every witness removed, laid out as
+# json.dumps(report, indent=2): patterns, dimensions and f-vectors, which no
+# choice of witness may move.
+PATTERNS_SHA256 = {
+    ("5", "2"): "f1f2e67cda344f431e5344135ad36f46ecf4696cbd5b9ecda516266ce6bdcd85",
+    ("5", "1"): "665a052ffb61a07d421ab87e21c7b7ae67063faf71c602de9ee0eb03479690ca",
+    ("4", "2"): "b4876471282dc388a1488fd14f98c5c31b6254518c0279755c8d400b2ff81c20",
+}
+
+
+@pytest.mark.parametrize("n, d", list(PATTERNS_SHA256))
+def test_faces_report_without_witnesses_is_pinned(n, d, capsys):
+    code, out = run_cli(["faces", "--complete", n, d], capsys)
+    assert code == 0
+    report = json.loads(out)
+    for face in report["faces"]:
+        del face["witness"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == PATTERNS_SHA256[n, d]
 
 
 def _stringify(value):
@@ -367,6 +390,27 @@ def test_facets_of_a_non_complete_input_are_not_partition_checked(tmp_path, caps
     report = json.loads(out)
     assert report["facets"]
     assert all(entry["partition_induced"] is None for entry in report["facets"])
+
+
+@pytest.mark.parametrize(
+    "document, count, dimension",
+    [
+        ('{"n": 4, "d": 1, "edges": [[1,2],[3,4]]}', 4, 1),
+        ((TESTDATA / "tetrahedron_boundary_5_2.json").read_text(), 12, 2),
+    ],
+    ids=["square", "tetrahedron-boundary"],
+)
+def test_facets_of_a_rank_deficient_input(document, count, dimension, tmp_path, capsys):
+    """The facets lie one dimension below the full face, which is below
+    cycle_space_dim(n, d) when the edge columns do not have full rank."""
+    path = tmp_path / "input.json"
+    path.write_text(document)
+    code, out = run_cli(["facets", "--input", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == str(count)
+    assert {entry["dimension"] for entry in report["facets"]} == {str(dimension)}
+    assert len({entry["pattern"] for entry in report["facets"]}) == count
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

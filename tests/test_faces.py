@@ -32,6 +32,7 @@ from acyclo.census import shard_prefixes
 from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
+from acyclo.exactalg import primitive
 from acyclo.ratlp import solve_feasibility
 
 
@@ -214,6 +215,27 @@ def test_facets_of_graphs():
         h = complete_hypergraph(n, 1)
         fs = facets(h)
         assert len(fs) == 2 ** n - 2
+
+
+# Two hypergraphs whose edge columns have rank below cycle_space_dim(n, d):
+# two disjoint edges (rank 2 of 3) and the boundary of a tetrahedron on
+# vertices 1..4 inside n = 5 (rank 3 of 6).
+SQUARE = Hypergraph(4, 1, ((1, 2), (3, 4)))
+TETRAHEDRON_BOUNDARY = Hypergraph(5, 2, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
+
+
+@pytest.mark.parametrize(
+    "h, full_dimension, count",
+    [(SQUARE, 2, 4), (TETRAHEDRON_BOUNDARY, 3, 12)],
+    ids=["square", "tetrahedron-boundary"],
+)
+def test_facets_of_a_rank_deficient_hypergraph(h, full_dimension, count):
+    lattice = face_lattice(h)
+    assert lattice.full_face().dimension == full_dimension < cycle_space_dim(h.n, h.d)
+    fs = lattice.facets()
+    assert len(fs) == count
+    assert {f.dimension for f in fs} == {full_dimension - 1}
+    assert facets(h) == fs
 
 
 def test_partition_patterns_d1():
@@ -627,9 +649,9 @@ def test_a52_every_face_witness_realizes(a52_lattice_and_lp_calls):
 
 
 def test_face_lattice_lp_ceiling(a52_lattice_and_lp_calls):
-    # one LP per internal search node; the old search ran one per child (30829)
-    _, calls = a52_lattice_and_lp_calls
-    assert calls <= 10277
+    # one LP per facet, to build its witness; the search itself solves none
+    lattice, calls = a52_lattice_and_lp_calls
+    assert calls == len(lattice.facets()) == 74
 
 
 def test_vertex_lp_ceiling(monkeypatch):
@@ -712,9 +734,33 @@ def test_face_lattice_lps_only_build_witnesses(monkeypatch):
         return result
 
     monkeypatch.setattr("acyclo.faces.solve_feasibility", recording)
-    face_lattice(complete_hypergraph(5, 2))
-    assert 0 < len(outcomes) <= 4174
+    lattice = face_lattice(complete_hypergraph(5, 2))
+    assert len(outcomes) == len(lattice.facets())
     assert all(outcomes)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [complete_hypergraph(4, 2), complete_hypergraph(5, 1), SQUARE, TETRAHEDRON_BOUNDARY],
+    ids=["A(4,2)", "A(5,1)", "square", "tetrahedron-boundary"],
+)
+def test_witnesses_are_sums_of_facet_kernel_vectors(h, monkeypatch):
+    """A facet's witness is +- the primitive kernel vector of its zero columns
+    on the support rows, and any other face's is the primitive sum of the
+    witnesses of the facets its pattern refines; so neither depends on the
+    path that solves the facet LPs."""
+    lattice = face_lattice(h)
+    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 0)
+    assert [f.witness for f in face_lattice(h)] == [f.witness for f in lattice]
+    support, restricted, _ = faces._support_rows(h)
+    fs = lattice.facets()
+    for facet in fs:
+        zero_cols = [restricted[j] for j in facet.pattern.zero_positions()]
+        (kernel,) = nullspace(IntMatrix.from_rows(zero_cols, cols=len(support)))
+        assert facet.witness in (faces._embed(h, kernel), faces._embed(h, [-x for x in kernel]))
+    for face in lattice:
+        total = [sum(f.witness[i] for f in fs if face.pattern.refines(f.pattern)) for i in range(len(face.witness))]
+        assert face.witness == tuple(map(Fraction, primitive([int(x) for x in total])))
 
 
 def test_an_lp_failing_where_the_circuits_admit_raises(k34, monkeypatch):
