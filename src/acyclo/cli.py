@@ -11,7 +11,8 @@ Grammar, with SRC = (--complete N D | --input PATH) and F = json|csv|human:
 
 A subcommand's parser holds only the flags of its COMMANDS entry, so a flag
 it would ignore is a usage error. `--complete N D` needs 1 <= D <= N-1, and
-its comb(N, D+1) edges must fit the budget before the hypergraph is built.
+its comb(N, D+1) edges must fit the budget before the hypergraph is built, as
+must the comb(N, D) boundary rows of either source before any column is.
 
 Exit codes: 0 ok, 2 parse/usage error, 3 budget exceeded, 4 disagreement
 between the theorem path and an oracle (or a failed identity check). A reader
@@ -153,24 +154,22 @@ def _write(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _check_complete(n: int, d: int, budget: Optional[int]) -> None:
-    """Reject `--complete N D` before its hypergraph is built. Every budgeted
-    enumeration has at least as many candidates as edges, comb(N, D+1)."""
-    if not 1 <= d <= n - 1:
-        raise HypergraphParseError(f"--complete: must satisfy 1 <= d <= n-1 (n={n}, d={d})")
-    budget = census.DEFAULT_SUBSET_BUDGET if budget is None else budget
-    # comb(N, k) multiplied up through comb(N-k+i, i), a rising lower bound,
+def _check_binomial(n: int, k: int, budget: int, what: str) -> None:
+    """Reject comb(n, k) candidates over the budget. `run` bounds the edges,
+    as every budgeted enumeration has at least as many candidates, and the
+    boundary rows, as every subcommand builds the columns over them."""
+    # comb(n, k) multiplied up through comb(n-k+i, i), a rising lower bound,
     # which stops once it is past the budget and too long to print exactly:
     # the error then says "at least 10^e", which holds of the bound too.
-    k = min(d + 1, n - d - 1)
+    k = min(k, n - k)
     inexact = 10**_EXACT_DIGITS
-    edges = 1
+    count = 1
     for i in range(1, k + 1):
-        edges = edges * (n - k + i) // i
-        if edges > budget and edges >= inexact:
+        count = count * (n - k + i) // i
+        if count > budget and count >= inexact:
             break
-    if edges > budget:
-        raise BudgetExceededError(edges, budget, f"edges of complete({n},{d})")
+    if count > budget:
+        raise BudgetExceededError(count, budget, what)
 
 
 def _load_input(args: argparse.Namespace) -> tuple[Hypergraph, dict]:
@@ -186,12 +185,7 @@ def _load_input(args: argparse.Namespace) -> tuple[Hypergraph, dict]:
             raise HypergraphParseError(f"cannot read {args.input}: {exc}") from exc
         h = parse_hypergraph(text)
         source = args.input
-    echo = {
-        "source": source,
-        "n": h.n,
-        "d": h.d,
-        "edge_count": len(h.edges),
-    }
+    echo = {"source": source, "n": h.n, "d": h.d, "edge_count": len(h.edges)}
     if args.input is not None:
         echo["edges"] = [list(e) for e in h.edges]
     return h, echo
@@ -405,16 +399,22 @@ def run(args: argparse.Namespace) -> int:
         raise HypergraphParseError(f"--budget must be non-negative, got {args.budget}")
     if args.shard is not None and args.oracle:
         raise HypergraphParseError("--shard cannot be combined with --oracle, which checks whole results")
+    budget = census.DEFAULT_SUBSET_BUDGET if args.budget is None else args.budget
     if args.complete is not None:
-        _check_complete(*args.complete, args.budget)
+        n, d = args.complete
+        if not 1 <= d <= n - 1:
+            raise HypergraphParseError(f"--complete: must satisfy 1 <= d <= n-1 (n={n}, d={d})")
+        for k, what in ((d + 1, "edges"), (d, "boundary rows")):  # before the hypergraph is built
+            _check_binomial(n, k, budget, f"{what} of complete({n},{d})")
         if args.signs is not None:  # checked against the edge count before the edges are built
-            _tournament_pattern(args.signs, comb(args.complete[0], args.complete[1] + 1))
+            _tournament_pattern(args.signs, comb(n, d + 1))
     command = COMMANDS[args.subcommand]
     report: dict = {"command": args.subcommand}
     if "--input" in command.flags:
         h, report["input"] = _load_input(args)
+        if args.input is not None:
+            _check_binomial(h.n, h.d, budget, f"boundary rows of {args.input}")
     else:  # the subcommand works from --complete N D alone
-        n, d = args.complete
         h, report["input"] = None, {"source": f"complete({n},{d})", "n": n, "d": d}
     exit_code = command.handler(args, h, report) or EXIT_OK
     if args.oracle:

@@ -15,7 +15,6 @@ build the witnesses (see `face_lattice`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
@@ -96,11 +95,12 @@ class Hypertournament:
 
 @dataclass(frozen=True)
 class FaceDescriptor:
-    """A face: its sign pattern, dimension, and a realizing cochain witness."""
+    """A face: its sign pattern, dimension, and witness, a primitive integer
+    cochain whose coboundary has exactly those signs (zero for the full face)."""
 
     pattern: SignPattern
     dimension: int
-    witness: tuple[Fraction, ...]
+    witness: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -141,13 +141,13 @@ def _solve_on_support(h: Hypergraph, signs: Sequence[int]) -> Optional[tuple[lis
     return solve_feasibility(len(support), eqs, ges)
 
 
-def _embed(h: Hypergraph, values: Sequence[int], den: int = 1) -> tuple[Fraction, ...]:
-    """Cochain on all (d-1)-subsets that is values / den on the support rows
-    and zero off them: the one place where witnesses become Fractions."""
+def _embed(h: Hypergraph, values: Sequence[int]) -> tuple[int, ...]:
+    """Integer cochain on all (d-1)-subsets that is values on the support rows
+    and zero off them; primitive when values is."""
     support = _support_rows(h)[0]
-    witness = [Fraction(0)] * comb(h.n, h.d)
+    witness = [0] * comb(h.n, h.d)
     for r, z in zip(support, values):
-        witness[r] = Fraction(z, den)
+        witness[r] = z
     return tuple(witness)
 
 
@@ -240,14 +240,14 @@ def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[
     return up, down
 
 
-def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[Fraction, ...]]:
-    """Witness cochain whose coboundary has exactly sigma's signs, or None."""
+def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[int, ...]]:
+    """Primitive integer cochain whose coboundary has exactly sigma's signs,
+    or None: the LP's realizing X / D, scaled by D > 0 and made primitive,
+    which keeps the signs of a homogeneous system."""
     if len(sigma.values) != len(h.edges):
-        raise ValueError(
-            f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}"
-        )
+        raise ValueError(f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}")
     point = _solve_on_support(h, sigma.values)
-    return None if point is None else _embed(h, *point)
+    return None if point is None else _embed(h, primitive(point[0]))
 
 
 def vertex_point(h: Hypergraph, sigma: SignPattern) -> tuple[int, ...]:
@@ -282,7 +282,7 @@ def enumerate_vertices(
         while stack:
             k, plus, minus, point = stack.pop()
             if k == num_edges:
-                yield SignPattern(tuple(1 if plus >> j & 1 else -1 for j in range(num_edges))), point
+                yield SignPattern(_signs(plus, minus, num_edges)), point
                 continue
             up, down = _extends(plus, minus, circuits[k])
             if k < len(prefix):

@@ -568,6 +568,44 @@ def test_huge_complete_fails_fast(capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("command", ["volume", "kalai-census", "vertices", "faces"])
+def test_complete_with_oversized_boundary_rows_fails_fast(command, capsys):
+    # 3000 edges, but comb(3000, 2998) = 4498500 boundary rows, which the
+    # columns would hold
+    start = time.perf_counter()
+    code = main([command, "--complete", "3000", "2998"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "boundary rows of complete(3000,2998): 4498500 candidates" in captured.err
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("command", ["volume", "ehrhart", "lattice-points", "vertices", "faces", "facets", "oracle"])
+def test_input_with_oversized_boundary_rows_fails_fast(command, tmp_path, capsys):
+    # one edge, but comb(100000, 2) = 4999950000 boundary rows
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 100000, "d": 2, "edges": [[1, 2, 3]]}')
+    start = time.perf_counter()
+    code = main([command, "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "4999950000 candidates" in captured.err
+    assert elapsed < 1
+
+
+def test_input_rows_use_given_budget(capsys):
+    # comb(4, 2) = 6 boundary rows: within the default budget, over a budget of 5
+    k34 = str(TESTDATA / "k34.json")
+    assert main(["tournament-check", "--input", k34, "--signs", "++++"]) == 0
+    capsys.readouterr()
+    assert main(["volume", "--input", k34, "--budget", "5"]) == 3
+    assert f"boundary rows of {k34}" in capsys.readouterr().err
+
+
 def test_oversized_complete_uses_given_budget(capsys):
     # comb(6, 3) = 20 edges
     assert main(["faces", "--complete", "6", "2", "--budget", "19"]) == 3

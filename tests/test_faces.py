@@ -1,8 +1,7 @@
 import json
 import random
-from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,6 @@ from acyclo import (
     partition_pattern,
     permutation_sign,
     rank,
-    validity_check,
     vertex_adjacency,
     vertex_point,
 )
@@ -41,23 +39,34 @@ def signs_of(values):
 
 
 def assert_witness_realizes(h, pattern, witness):
-    out = coboundary_apply(h, witness)
-    assert signs_of(out) == pattern.values
+    """The witness is a primitive (or zero) integer cochain whose coboundary
+    has exactly the pattern's signs."""
+    assert type(witness) is tuple and all(type(x) is int for x in witness)
+    assert gcd(*witness) in (0, 1)
+    assert signs_of(coboundary_apply(h, witness)) == pattern.values
+
+
+def checked_validity(h, pattern):
+    """faces.validity_check, with any witness it returns checked."""
+    witness = faces.validity_check(h, pattern)
+    if witness is not None:
+        assert_witness_realizes(h, pattern, witness)
+    return witness
 
 
 def test_all_zero_pattern_valid(k34):
-    w = validity_check(k34, SignPattern((0, 0, 0, 0)))
-    assert w == (Fraction(0),) * 6
+    w = checked_validity(k34, SignPattern((0, 0, 0, 0)))
+    assert w == (0,) * 6
 
 
 def test_k34_proper_patterns(k34):
-    assert validity_check(k34, SignPattern((1, 1, 1, 1))) is not None
-    assert validity_check(k34, SignPattern((1, -1, 1, -1))) is None
-    assert validity_check(k34, SignPattern((-1, 1, -1, 1))) is None
+    assert checked_validity(k34, SignPattern((1, 1, 1, 1))) is not None
+    assert checked_validity(k34, SignPattern((1, -1, 1, -1))) is None
+    assert checked_validity(k34, SignPattern((-1, 1, -1, 1))) is None
     count = 0
     for bits in range(16):
         values = tuple(1 if bits >> j & 1 else -1 for j in range(4))
-        if validity_check(k34, SignPattern(values)) is not None:
+        if checked_validity(k34, SignPattern(values)) is not None:
             count += 1
     assert count == 14
 
@@ -273,7 +282,7 @@ def test_all_ordered_partitions_valid_k34(k34):
     for parts in ordered_partitions(4, 3):
         pattern = partition_pattern(4, 2, parts)
         count += 1
-        assert validity_check(k34, pattern) is not None
+        assert checked_validity(k34, pattern) is not None
     assert count == 36
 
 
@@ -310,9 +319,7 @@ def test_a52_exceptional_facet():
         tup = (i % 5 + 1, (i + 1) % 5 + 1, (i + 2) % 5 + 1)
         values[h.edge_position(tup)] = permutation_sign(tup)
     pattern = SignPattern(tuple(values))
-    witness = validity_check(h, pattern)
-    assert witness is not None
-    assert_witness_realizes(h, pattern, witness)
+    assert checked_validity(h, pattern) is not None
     cols = edge_columns(h)
     zero_cols = [cols[j] for j, v in enumerate(pattern.values) if v == 0]
     rows = [[c[r] for c in zero_cols] for r in range(comb(5, 2))]
@@ -400,16 +407,14 @@ def test_face_budget():
 
 def test_validity_on_k62(k62):
     valid = partition_pattern(6, 2, ((1, 2), (3, 4), (5, 6)))
-    witness = validity_check(k62, valid)
-    assert witness is not None
-    assert_witness_realizes(k62, valid, witness)
+    assert checked_validity(k62, valid) is not None
     # alternating signs on the tetrahedron spanned by 1..4, zero elsewhere:
     # the boundary relation among those four columns forbids any witness
     values = [0] * 20
     tetra = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     for sign, e in zip((1, -1, 1, -1), tetra):
         values[k62.edge_position(e)] = sign
-    assert validity_check(k62, SignPattern(tuple(values))) is None
+    assert checked_validity(k62, SignPattern(tuple(values))) is None
 
 
 def test_simplex_path_on_k72():
@@ -417,14 +422,12 @@ def test_simplex_path_on_k72():
     # route through the exact phase-one simplex
     h7 = complete_hypergraph(7, 2)
     valid = partition_pattern(7, 2, ((1, 2, 3), (4, 5), (6, 7)))
-    witness = validity_check(h7, valid)
-    assert witness is not None
-    assert_witness_realizes(h7, valid, witness)
+    assert checked_validity(h7, valid) is not None
     values = [0] * 35
     tetra = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     for sign, e in zip((1, -1, 1, -1), tetra):
         values[h7.edge_position(e)] = sign
-    assert validity_check(h7, SignPattern(tuple(values))) is None
+    assert checked_validity(h7, SignPattern(tuple(values))) is None
 
 
 def _acyclic_signs(rng, h):
@@ -471,10 +474,7 @@ def test_tournament_check_above_fm_limit(n, d, capsys, monkeypatch):
         code = main(["tournament-check", "--complete", str(n), str(d), f"--signs={text}"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["acyclic"] is acyclic
-        witness = validity_check(h, SignPattern(signs))
-        assert (witness is not None) is acyclic
-        if acyclic:
-            assert_witness_realizes(h, SignPattern(signs), witness)
+        assert (checked_validity(h, SignPattern(signs)) is not None) is acyclic
     assert len(simplex_calls) == 16
     assert min(simplex_calls) > ratlp.FM_VARIABLE_LIMIT
 
@@ -610,7 +610,7 @@ def test_dfs_matches_bruteforce_validity(h):
     valid = {
         values
         for values in product((1, -1, 0), repeat=m)
-        if validity_check(h, SignPattern(values)) is not None
+        if checked_validity(h, SignPattern(values)) is not None
     }
     lattice = face_lattice(h)
     assert len(lattice) == len(valid)
@@ -760,7 +760,18 @@ def test_witnesses_are_sums_of_facet_kernel_vectors(h, monkeypatch):
         assert facet.witness in (faces._embed(h, kernel), faces._embed(h, [-x for x in kernel]))
     for face in lattice:
         total = [sum(f.witness[i] for f in fs if face.pattern.refines(f.pattern)) for i in range(len(face.witness))]
-        assert face.witness == tuple(map(Fraction, primitive([int(x) for x in total])))
+        assert face.witness == primitive(total)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [complete_hypergraph(4, 2), complete_hypergraph(5, 1), SQUARE, TETRAHEDRON_BOUNDARY],
+    ids=["A(4,2)", "A(5,1)", "square", "tetrahedron-boundary"],
+)
+def test_witnesses_are_primitive_integer_cochains(h):
+    for face in face_lattice(h):
+        assert_witness_realizes(h, face.pattern, face.witness)
+        assert checked_validity(h, face.pattern) is not None
 
 
 def test_an_lp_failing_where_the_circuits_admit_raises(k34, monkeypatch):
