@@ -198,7 +198,8 @@ def _budget_kwargs(args: argparse.Namespace) -> dict:
 # Oracle checks: each compares one theorem-path value with an independent
 # oracle, and returns None where the oracle does not apply to h. A check reads
 # the theorem-path value from the report when its handler has put it there,
-# else computes it under --budget, and is skipped if that exceeds the budget.
+# else computes it under --budget, and is skipped if that exceeds the budget
+# or the oracle exceeds its own cap.
 
 
 def _kirchhoff_check(args, h: Hypergraph, report: dict) -> Optional[oracle.OracleReport]:

@@ -14,7 +14,13 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
+from .errors import BudgetExceededError
 from .exactalg import IntMatrix
+
+# The most entries `edge_columns` builds, comb(n, d) * (edges + d): its index
+# of the d-subsets and its columns. 10**7 tuple slots are about 80 MB, far
+# above the 875 that complete(7,4) needs.
+DENSE_ENTRY_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -28,19 +34,17 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if not 1 <= self.d <= self.n - 1:
             raise ValueError(f"d={self.d} must satisfy 1 <= d <= n-1 (n={self.n})")
-        seen = set()
-        for e in self.edges:
+        for prev, e in zip(((),) + self.edges, self.edges):  # () is below every edge
             if len(e) != self.d + 1:
                 raise ValueError(f"edge {e} has {len(e)} vertices, expected {self.d + 1}")
             if any(not 1 <= v <= self.n for v in e):
                 raise ValueError(f"edge {e} has a vertex outside 1..{self.n}")
             if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
                 raise ValueError(f"edge {e} is not strictly increasing")
-            if e in seen:
+            if prev == e:
                 raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        if tuple(sorted(self.edges)) != self.edges:
-            raise ValueError("edges must be listed in lexicographic order")
+            if prev > e:
+                raise ValueError("edges must be listed in lexicographic order")
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -142,7 +146,12 @@ def boundary_column(n: int, vertices: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def edge_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Boundary columns of the edges, one integer tuple per edge."""
+    """Boundary columns of the edges, one integer tuple per edge; a
+    BudgetExceededError before anything is built if they and the index of
+    the d-subsets would hold more than DENSE_ENTRY_CAP entries."""
+    entries = comb(h.n, h.d) * (len(h.edges) + h.d)
+    if entries > DENSE_ENTRY_CAP:
+        raise BudgetExceededError(entries, DENSE_ENTRY_CAP, "dense boundary entries")
     return tuple(tuple(boundary_column(h.n, e)) for e in h.edges)
 
 

@@ -7,7 +7,8 @@ lattice saturation indices; and one incremental fraction-free (Bareiss)
 elimination kernel, `Echelon`, on which rank, primitive integer kernels, the
 support rows and signed circuits of `faces` and the equalities of `ratlp`
 all run. `bareiss_step` is its one elimination step, which `bareiss_pivot`
-applies to the rows of `ratlp`'s integer simplex tableau too. The Smith form
+applies to the rows of `ratlp`'s integer simplex tableau too, and `lift` its
+one back-substitution step, shared with Fourier-Motzkin. The Smith form
 keeps its own elimination, so that it can check `rank` independently. `pack`,
 `digit` and `lead` keep an integer vector as one Python int of signed
 base-2**b digits, `pack_width` choosing b from the Hadamard bound of the
@@ -289,26 +290,25 @@ class Echelon:
     last pivot times v's rational remainder modulo the rows.
     """
 
-    __slots__ = ("rows", "pivots", "values")
+    __slots__ = ("rows", "pivots")
 
     def __init__(self) -> None:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self.values: list[int] = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
     @property
     def last_pivot(self) -> int:
-        return self.values[-1] if self.values else 1
+        return self.rows[-1][self.pivots[-1]] if self.rows else 1
 
     def reduce(self, vec: Sequence[int]) -> list[int]:
         v = list(vec)
         prev = 1
-        for w, pp, pv in zip(self.rows, self.pivots, self.values):
-            v = bareiss_step(v, w, pp, pv, prev)
-            prev = pv
+        for w, pp in zip(self.rows, self.pivots):
+            v = bareiss_step(v, w, pp, w[pp], prev)
+            prev = w[pp]
         return v
 
     def push(self, vec: Sequence[int]) -> bool:
@@ -318,30 +318,33 @@ class Echelon:
             if x:
                 self.rows.append(v)
                 self.pivots.append(pos)
-                self.values.append(x)
                 return True
         return False
 
     def pop(self) -> None:
         self.rows.pop()
         self.pivots.pop()
-        self.values.pop()
 
     def solve(self, x: list[int], den: int) -> tuple[list[int], int]:
         """The rational vector x / den, den > 0, with its pivot positions set so
         that every row pairs to zero with it, as integers over a multiple of
         den; the other positions are read as given."""
         # Row k is zero on the pivots of rows 0..k-1, so solving in reverse
-        # meets only positions already set besides its own pivot. Its pivot
-        # entry is -s / p over den, which needs den scaled by |p| / gcd(s, p).
+        # meets only positions already set besides its own pivot.
         for row, pc in zip(reversed(self.rows), reversed(self.pivots)):
             x[pc] = 0
-            s, p = sum(map(mul, row, x)), row[pc]
-            scale = abs(p) // gcd(s, p)
-            if scale > 1:
-                x, den = [scale * a for a in x], den * scale
-            x[pc] = -scale * s // p
+            x, den = lift(x, den, pc, -sum(map(mul, row, x)), row[pc])
         return x, den
+
+
+def lift(x: list[int], den: int, j: int, num: int, dv: int) -> tuple[list[int], int]:
+    """x / den with entry j set to num / (dv * den), dv != 0, over a multiple
+    of den: x and den scale by |dv| / gcd(num, dv) if dv does not divide num."""
+    scale = abs(dv) // gcd(num, dv)
+    if scale > 1:
+        x, den = [scale * a for a in x], den * scale
+    x[j] = scale * num // dv
+    return x, den
 
 
 def pack_width(vectors: Sequence[Sequence[int]]) -> int:

@@ -26,6 +26,9 @@ from .ratlp import solve_feasibility
 
 DEFAULT_GENERATOR_CAP = 8
 DEFAULT_PATTERN_CAP = 12
+# The largest matrix side an oracle builds, so that its cubic elimination
+# takes seconds at most (2.2 s for the matrix-tree sum of the 300-cycle).
+MATRIX_SIDE_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ def kirchhoff_tree_count(g: Hypergraph) -> int:
     if g.d != 1:
         raise ValueError("Kirchhoff count requires a graph (d == 1)")
     n = g.n
+    if n > MATRIX_SIDE_CAP:
+        raise BudgetExceededError(n, MATRIX_SIDE_CAP, "Kirchhoff Laplacian side")
     lap = [[0] * n for _ in range(n)]
     for i, j in g.edges:
         lap[i - 1][i - 1] += 1
@@ -65,6 +70,9 @@ def matrix_tree_sum(h: Hypergraph) -> int:
     times its transpose) on the (d-1)-faces that miss vertex 1. For a graph
     it is the Kirchhoff cofactor, the spanning-tree count.
     """
+    side = cycle_space_dim(h.n, h.d)  # the (d-1)-faces that miss vertex 1
+    if side > MATRIX_SIDE_CAP:
+        raise BudgetExceededError(side, MATRIX_SIDE_CAP, "matrix-tree Laplacian side")
     b = boundary_matrix(h)
     faces = [b.row(r) for r, face in enumerate(simplex_index(h.n, h.d)) if 1 not in face]
     laplacian = [[sum(x * y for x, y in zip(f, g)) for g in faces] for f in faces]
@@ -111,10 +119,12 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
     num_edges = len(h.edges)
     if num_edges > cap:
         raise BudgetExceededError(num_edges, cap, "direct lattice-point generator count")
+    ambient = comb(h.n, h.d)  # the rows, each tagged with a unit vector of this length
+    if ambient > MATRIX_SIDE_CAP:
+        raise BudgetExceededError(ambient, MATRIX_SIDE_CAP, "direct lattice-point row count")
     if num_edges == 0:
         return 1
     cols = edge_columns(h)
-    ambient = comb(h.n, h.d)
     lo = [t * sum(min(0, c[r]) for c in cols) for r in range(ambient)]
     hi = [t * sum(max(0, c[r]) for c in cols) for r in range(ambient)]
     picked, expressions = _row_expressions(cols, ambient, [hi[r] - lo[r] for r in range(ambient)])

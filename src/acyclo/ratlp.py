@@ -20,11 +20,10 @@ fills in the pivot variables, and `solve_feasibility` returns it so.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Echelon, bareiss_pivot, primitive
+from .exactalg import Echelon, bareiss_pivot, lift, primitive
 
 FM_VARIABLE_LIMIT = 12
 
@@ -121,11 +120,7 @@ def _fourier_motzkin(k: int, rows: list[_Row]) -> Optional[tuple[list[int], int]
             if best is None or sign * (num * best[1] - best[0] * dv) > 0:
                 best = num, dv
         if best is not None:
-            num, dv = best
-            scale = dv // gcd(num, dv)
-            if scale > 1:
-                x, den = [scale * a for a in x], den * scale
-            x[v] = scale * num // dv
+            x, den = lift(x, den, v, *best)
     return x, den
 
 

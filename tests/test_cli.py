@@ -336,6 +336,37 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["volume"] == "3"
 
 
+def test_early_closed_stdout_exits_cleanly():
+    # about 110 KB of report, more than the pipe holds: the write after the
+    # reader closes its end raises BrokenPipeError, which the CLI absorbs
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "acyclo.cli", "vertices", "--complete", "6", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def test_ehrhart_below_full_degree_through_the_cli(tmp_path, capsys):
+    # two disjoint edges: degree 2, below cycle_space_dim(4, 1) = 3
+    path = tmp_path / "two_edges.json"
+    path.write_text('{"n": 4, "d": 1, "edges": [[1, 2], [3, 4]]}')
+    code, out = run_cli(["ehrhart", "--input", str(path), "--oracle"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ehrhart"] == {"coefficients": ["1", "2", "1"], "degree": "2"}
+    assert [r["agreement"] for r in report["oracle_reports"]] == [True]
+    code, out = run_cli(["lattice-points", "--input", str(path), "--oracle"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["lattice_points"] == "4"
+    assert [r["agreement"] for r in report["oracle_reports"]] == [True]
+
+
 def test_huge_budget_bound_exit_code(capsys):
     # the bound comb(43758, 24310) has over 13000 digits
     code = main(["volume", "--complete", "18", "9"])
@@ -595,6 +626,44 @@ def test_input_with_oversized_boundary_rows_fails_fast(command, tmp_path, capsys
     assert captured.out == ""
     assert "4999950000 candidates" in captured.err
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("n, d", [(600, 598), (2000, 1998), (12000, 11999), (20000, 19999)])
+def test_dense_boundary_over_its_cap_fails_fast(n, d, capsys):
+    # edges and rows within the budget, but the d-subset index and the
+    # columns would hold comb(n, d) * (edges + d) > 10**7 entries
+    start = time.perf_counter()
+    code = main(["volume", "--complete", str(n), str(d)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "dense boundary entries" in captured.err
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("command", ["volume", "lattice-points"])
+def test_oracle_on_a_wide_input_is_skipped(command, tmp_path, capsys):
+    # one edge on 100000 vertices: the oracle matrices would have that side
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 100000, "d": 1, "edges": [[1, 2]]}')
+    start = time.perf_counter()
+    code, out = run_cli([command, "--input", str(path), "--oracle"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["oracle_reports"] == []
+    assert elapsed < 1
+
+
+def test_oracle_subcommand_on_a_wide_input(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 3000, "d": 1, "edges": [[1, 2]]}')
+    start = time.perf_counter()
+    code, out = run_cli(["oracle", "--input", str(path)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert [r["quantity"] for r in json.loads(out)["oracle_reports"]] == ["vertex pattern sets"]
+    assert elapsed < 5
 
 
 def test_input_rows_use_given_budget(capsys):

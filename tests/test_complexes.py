@@ -27,6 +27,29 @@ def test_hypergraph_validation():
         Hypergraph.from_edges(4, 2, [[1, 2, 3], [3, 2, 1]])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((1, 2),), "edge (1, 2) has 2 vertices, expected 3"),
+        (((1, 2, 5),), "edge (1, 2, 5) has a vertex outside 1..4"),
+        (((1, 3, 2),), "edge (1, 3, 2) is not strictly increasing"),
+        (((1, 2, 3), (1, 2, 3)), "duplicate edge (1, 2, 3)"),
+        (((1, 2, 4), (1, 2, 3)), "edges must be listed in lexicographic order"),
+    ],
+    ids=["size", "range", "increasing", "duplicate", "order"],
+)
+def test_hypergraph_rejects_each_malformed_edge_list(edges, message):
+    with pytest.raises(ValueError) as exc:
+        Hypergraph(4, 2, edges)
+    assert str(exc.value) == message
+
+
+def test_hypergraph_edges_must_be_a_tuple():
+    # a list is unhashable, so the caches keyed by the hypergraph could not take it
+    with pytest.raises((TypeError, ValueError)):
+        Hypergraph(4, 2, [(1, 2, 3)])
+
+
 def test_from_edges_canonicalizes():
     h = Hypergraph.from_edges(4, 2, [[3, 1, 2], [2, 4, 3]])
     assert h.edges == ((1, 2, 3), (2, 3, 4))

@@ -207,12 +207,12 @@ def test_echelon_pop_restores_push(a, extra):
     ech = Echelon()
     for i in range(a.rows):
         ech.push(a.row(i))
-    before = ([list(r) for r in ech.rows], list(ech.pivots), list(ech.values))
+    before = ([list(r) for r in ech.rows], list(ech.pivots), [r[p] for r, p in zip(ech.rows, ech.pivots)])
     for vec in extra:
         vec = (vec + [0] * a.cols)[: a.cols]
         if ech.push(vec):
             ech.pop()
-        assert (ech.rows, ech.pivots, ech.values) == before
+        assert (ech.rows, ech.pivots, [r[p] for r, p in zip(ech.rows, ech.pivots)]) == before
 
 
 @settings(max_examples=80, deadline=None)
@@ -248,8 +248,8 @@ def test_packed_bareiss_step_carries_vectors_to_their_reduction(a, extra):
     for i in range(a.rows):
         if not ech.push(a.row(i)):
             continue
-        w, pp, pv = pack(ech.rows[-1], b), ech.pivots[-1], ech.values[-1]
-        prev = ech.values[-2] if len(ech) > 1 else 1
+        w, pp, pv = pack(ech.rows[-1], b), ech.pivots[-1], ech.last_pivot
+        prev = ech.rows[-2][ech.pivots[-2]] if len(ech) > 1 else 1
         assert lead(w, b) == pv
         stepped = []
         for k, x in carried:

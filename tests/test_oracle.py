@@ -13,6 +13,7 @@ from acyclo import (
     kirchhoff_tree_count,
     lattice_point_count,
     lattice_points_direct,
+    matrix_tree_sum,
     signpattern_bruteforce,
     torsion_order,
     torsion_rowreduce,
@@ -61,6 +62,29 @@ def test_lattice_points_k34(k34):
 def test_lattice_points_cap():
     with pytest.raises(BudgetExceededError):
         lattice_points_direct(complete_hypergraph(5, 1), 1, cap=8)
+
+
+@pytest.mark.parametrize(
+    "oracle_fn", [kirchhoff_tree_count, matrix_tree_sum, lambda h: lattice_points_direct(h, 1)],
+    ids=["kirchhoff", "matrix-tree", "lattice-points"],
+)
+def test_oracle_matrices_over_the_side_cap_are_refused(oracle_fn):
+    # one edge, but the Laplacians and the tagged rows grow with the 3000 vertices
+    with pytest.raises(BudgetExceededError):
+        oracle_fn(Hypergraph(3000, 1, ((1, 2),)))
+
+
+def test_ehrhart_below_full_degree():
+    # two disjoint edges: rank 2, below cycle_space_dim(4, 1) = 3, so both
+    # the census and the fitted polynomial drop a zero top coefficient
+    h = Hypergraph(4, 1, ((1, 2), (3, 4)))
+    poly = ehrhart(h)
+    assert poly.coefficients == (1, 2, 1)
+    assert poly.degree == 2
+    report = ehrhart_fit_check(h, poly.coefficients)
+    assert report.agreement
+    assert report.oracle_value == (1, 2, 1)
+    assert lattice_point_count(h) == lattice_points_direct(h, 1) == 4
 
 
 def test_fit_check_k3(k3):
