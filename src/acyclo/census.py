@@ -9,6 +9,8 @@ and a candidate that reduces to zero is dependent in the whole subtree, so
 it is dropped there. The last pivot equals (up to sign) the determinant of
 the pivot submatrix of the chosen columns; when it is +-1 the column lattice
 is saturated and the torsion order is 1 without a Smith-form call.
+`ehrhart` counts the same DFS by subtree (`_count_forests`) instead of
+listing its sets (`_forest_nodes`).
 
 The columns are the boundary columns restricted to the d-subsets that miss
 vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
@@ -38,6 +40,12 @@ from .exactalg import _invariant_factors, lead, pack, pack_width
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
+# Slots of `ehrhart`'s subtree table (`_count_forests`). A(6,2)'s DFS
+# carries 200811 times into only 7868 distinct states with candidates left.
+# 1024 slots hold about 0.5 MB there and cut its carries to 67890; keeping
+# every state (40486 carries) takes about 5 MB, and the table must stay
+# bounded on any input.
+COUNT_SLOTS = 1024
 
 Shard = tuple[int, int]  # (index, total)
 
@@ -105,6 +113,48 @@ def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
         yield tuple(bool(mask >> j & 1) for j in range(plen))
 
 
+def _carry(pending, w, prev, pv, b, half, mask):
+    """Choose packed column w, pivot pv, after a pivot prev: the pending
+    candidates after w's Bareiss step, in order, without those that reduce
+    to zero. half and mask are 2**(b-1) and 2**b - 1, and coef is a
+    candidate's centred digit at w's pivot (`digit`)."""
+    shift = ((w & -w).bit_length() - 1) // b * b
+    low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
+    out = []
+    for j, x in pending:
+        coef = (x + low >> shift & mask) - half
+        if coef:
+            x = (pv * x - coef * w) // prev
+            if x:
+                out.append((j, x))
+        elif pv != prev:
+            out.append((j, pv * x // prev))
+        else:
+            out.append((j, x))
+    return out
+
+
+def _prefix_states(cols, b: int, shard: Optional[Shard]):
+    """The nodes a DFS starts from: for each of the shard's `shard_prefixes`
+    (one empty prefix without a shard) that heads an independent subset,
+    (its chosen edges, their last pivot, the live candidates after it)."""
+    half, mask = 1 << b - 1, (1 << b) - 1
+    for prefix in [()] if shard is None else shard_prefixes(len(cols), shard):
+        live = [(j, pack(c, b)) for j, c in enumerate(cols) if any(c)]
+        chosen, pivot = [], 1
+        for j, included in enumerate(prefix):
+            head = live[0] if live and live[0][0] == j else None
+            live = live[1:] if head else live
+            if included:
+                if head is None:  # dependent: the prefix heads no subset
+                    break
+                chosen.append(j)
+                pv = lead(head[1], b)
+                live, pivot = _carry(live, head[1], pivot, pv, b, half, mask), pv
+        else:
+            yield chosen, pivot, live
+
+
 def _forest_nodes(
     cols, exact_size: Optional[int] = None, shard: Optional[Shard] = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -122,72 +172,106 @@ def _forest_nodes(
     """
     b = pack_width(cols)
     half, mask = 1 << b - 1, (1 << b) - 1
-    values = [1]  # the pivot of each chosen column, after a 1 for the root
-    chosen: list[int] = []
-
-    def carry(pending, w):
-        # Store w as the newest row and apply its Bareiss step to the pending
-        # candidates; coef is their centred digit at w's pivot (`digit`).
-        prev, pv = values[-1], lead(w, b)
-        values.append(pv)
-        shift = ((w & -w).bit_length() - 1) // b * b
-        low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
-        out = []
-        for j, x in pending:
-            coef = (x + low >> shift & mask) - half
-            if coef:
-                x = (pv * x - coef * w) // prev
-                if x:
-                    out.append((j, x))
-            elif pv != prev:
-                out.append((j, pv * x // prev))
-            else:
-                out.append((j, x))
-        return out
-
     floor = exact_size or 0  # the size every visited subtree must reach
-    prefixes = [()] if shard is None else shard_prefixes(len(cols), shard)
-    for prefix in prefixes:
-        live = [(j, pack(c, b)) for j, c in enumerate(cols) if any(c)]
-        for j, included in enumerate(prefix):
-            head = live[0] if live and live[0][0] == j else None
-            live = live[1:] if head else live
-            if included:
-                if head is None:  # dependent: the prefix heads no subset
+    for chosen, pivot, live in _prefix_states(cols, b, shard):
+        values = [pivot]  # the last pivot of each node on the path, from the start node down
+        if exact_size is None or len(chosen) == exact_size:
+            yield tuple(chosen), pivot
+        if exact_size is not None and len(chosen) >= exact_size:
+            live = []
+        stack = []
+        i, end = 0, len(live)
+        while True:
+            if i == end or len(chosen) + end - i < floor:
+                if not stack:
                     break
-                chosen.append(j)
-                live = carry(live, head[1])
-        else:
-            if exact_size is None or len(chosen) == exact_size:
-                yield tuple(chosen), values[-1]
-            if exact_size is not None and len(chosen) >= exact_size:
-                live = []
-            stack = []
+                live, i = stack.pop()
+                end = len(live)
+                values.pop()
+                chosen.pop()
+                continue
+            j, x = live[i]
+            i += 1
+            if len(chosen) + 1 == exact_size or i == end:
+                # A leaf needs no reduced candidates, only its pivot. With
+                # exact_size set, the cut above lets a last candidate
+                # through only if it completes the size.
+                yield (*chosen, j), lead(x, b)
+                continue
+            chosen.append(j)
+            stack.append((live, i))
+            pv = lead(x, b)
+            live = _carry(live[i:], x, values[-1], pv, b, half, mask)
+            values.append(pv)
+            if exact_size is None:
+                yield tuple(chosen), pv
             i, end = 0, len(live)
-            while True:
-                if i == end or len(chosen) + end - i < floor:
-                    if not stack:
-                        break
-                    live, i = stack.pop()
-                    end = len(live)
-                    values.pop()
-                    chosen.pop()
-                    continue
+
+
+def _count_forests(
+    cols, shard: Optional[Shard] = None
+) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
+    """The `_forest_nodes(cols, shard=shard)` stream, counted: entry k of the
+    first result is the number of its k-edge sets whose last pivot is +-1;
+    the second lists the other, twisted, sets as (edges, pivot), in stream
+    order.
+
+    The subtree below a node depends only on the node's last pivot and live
+    candidates. So the counts of a subtree without twisted sets are kept in
+    a table of COUNT_SLOTS slots under that key, in the slot its hash
+    picks, overwriting what was there; a hit compares the whole key
+    (Haggard, Pearce and Royle, *Computing Tutte polynomials*, 2010, cache
+    a result per distinct minor the same way). A node's counts hold, at k,
+    its descendants with k more edges; a stack frame is a node above the
+    current one: (key, pivot, live, next candidate, counts, len(twisted)
+    on entry).
+    """
+    b = pack_width(cols)
+    half, mask = 1 << b - 1, (1 << b) - 1
+    table = [None] * COUNT_SLOTS
+    totals = [0] * (len(cols) + 1)
+    twisted: list[tuple[tuple[int, ...], int]] = []
+    for chosen, pivot, live in _prefix_states(cols, b, shard):
+        if pivot in (1, -1):
+            totals[len(chosen)] += 1
+        else:
+            twisted.append((tuple(chosen), pivot))
+        stack = []
+        key, i, mark, counts = (pivot, *live), 0, len(twisted), [0] * (len(live) + 1)
+        while True:
+            if i < len(live):
                 j, x = live[i]
                 i += 1
-                if len(chosen) + 1 == exact_size or i == end:
-                    # A leaf needs no reduced candidates, only its pivot. With
-                    # exact_size set, the cut above lets a last candidate
-                    # through only if it completes the size.
-                    yield (*chosen, j), lead(x, b)
+                pv = lead(x, b)
+                if pv in (1, -1):
+                    counts[1] += 1
+                else:
+                    twisted.append(((*chosen, j), pv))
+                rest = _carry(live[i:], x, pivot, pv, b, half, mask) if i < len(live) else ()
+                if not rest:
                     continue
-                chosen.append(j)
-                stack.append((live, i))
-                live = carry(live[i:], x)
-                if exact_size is None:
-                    yield tuple(chosen), values[-1]
-                i, end = 0, len(live)
-        del values[1:], chosen[:]
+                sub_key = (pv, *rest)
+                entry = table[hash(sub_key) % len(table)]
+                if entry is None or entry[0] != sub_key:
+                    stack.append((key, pivot, live, i, counts, mark))
+                    chosen.append(j)
+                    key, pivot, live, i, mark = sub_key, pv, rest, 0, len(twisted)
+                    counts = [0] * (len(live) + 1)
+                    continue
+                sub = entry[1]
+            else:
+                if len(twisted) == mark:
+                    table[hash(key) % len(table)] = (key, counts)
+                if not stack:
+                    break
+                sub = counts
+                key, pivot, live, i, counts, mark = stack.pop()
+                chosen.pop()
+            for k, c in enumerate(sub, 1):
+                counts[k] += c
+        for k, c in enumerate(counts, len(chosen)):
+            totals[k] += c
+    return totals, twisted
 
 
 def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
@@ -228,15 +312,16 @@ def ehrhart(
     """Lattice-point counting polynomial of the hypergraphic zonotope.
 
     The coefficient of t**k is the sum of torsion orders over the k-edge
-    spanning hyperforests.
+    spanning hyperforests: 1 for each set `_count_forests` counts, and a
+    Smith form for each set whose last pivot is not +-1.
     """
     bound = 2 ** len(h.edges)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hyperforest enumeration")
     cols = _cone_columns(h)
-    coeffs = [0] * (cycle_space_dim(h.n, h.d) + 1)
-    for chosen, last_pivot in _forest_nodes(cols, shard=shard):
-        coeffs[len(chosen)] += 1 if last_pivot in (1, -1) else _torsion_of(cols, chosen)
+    coeffs, twisted = _count_forests(cols, shard)
+    for chosen, _ in twisted:
+        coeffs[len(chosen)] += _torsion_of(cols, chosen)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return EhrhartPolynomial(tuple(coeffs))

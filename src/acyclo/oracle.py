@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .complexes import Hypergraph, boundary_matrix, cycle_space_dim, edge_columns, simplex_index
@@ -29,6 +29,10 @@ DEFAULT_PATTERN_CAP = 12
 # The largest matrix side an oracle builds, so that its cubic elimination
 # takes seconds at most (2.2 s for the matrix-tree sum of the 300-cycle).
 MATRIX_SIDE_CAP = 300
+# The most candidate points a direct lattice-point count scans, each by one
+# feasibility LP: 4356 for the 5-edge graph of the acceptance tests at its
+# top dilate take about 1 s, so this cap stays within seconds.
+BOX_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,18 @@ def _row_expressions(cols, ambient: int, widths) -> tuple[list[int], list[list[F
     return picked, [[e[q] for q in picked] for e in expressions]
 
 
+def _generator_columns(h: Hypergraph, cap: int):
+    """The edge columns, once the generators (at most cap) and the tagged
+    rows (at most MATRIX_SIDE_CAP) fit the direct count's bounds."""
+    num_edges = len(h.edges)
+    if num_edges > cap:
+        raise BudgetExceededError(num_edges, cap, "direct lattice-point generator count")
+    ambient = comb(h.n, h.d)  # the rows, each tagged with a unit vector of this length
+    if ambient > MATRIX_SIDE_CAP:
+        raise BudgetExceededError(ambient, MATRIX_SIDE_CAP, "direct lattice-point row count")
+    return edge_columns(h)
+
+
 def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CAP) -> int:
     """Count lattice points of the t-dilate by direct membership tests.
 
@@ -112,22 +128,21 @@ def lattice_points_direct(h: Hypergraph, t: int, cap: int = DEFAULT_GENERATOR_CA
     Minkowski sums of the generators' minima and maxima) on independent rows,
     which fix the other coordinates of a point in the span of the generators;
     each integral point inside the box is tested by exact feasibility of its
-    generator-coefficient system.
+    generator-coefficient system. A box of more than BOX_CAP points is
+    refused before any test.
     """
     if t < 1:
         raise ValueError("dilation factor must be a positive integer")
-    num_edges = len(h.edges)
-    if num_edges > cap:
-        raise BudgetExceededError(num_edges, cap, "direct lattice-point generator count")
-    ambient = comb(h.n, h.d)  # the rows, each tagged with a unit vector of this length
-    if ambient > MATRIX_SIDE_CAP:
-        raise BudgetExceededError(ambient, MATRIX_SIDE_CAP, "direct lattice-point row count")
-    if num_edges == 0:
+    cols = _generator_columns(h, cap)
+    if not cols:
         return 1
-    cols = edge_columns(h)
+    num_edges, ambient = len(cols), len(cols[0])
     lo = [t * sum(min(0, c[r]) for c in cols) for r in range(ambient)]
     hi = [t * sum(max(0, c[r]) for c in cols) for r in range(ambient)]
     picked, expressions = _row_expressions(cols, ambient, [hi[r] - lo[r] for r in range(ambient)])
+    box = prod(hi[p] - lo[p] + 1 for p in picked)
+    if box > BOX_CAP:
+        raise BudgetExceededError(box, BOX_CAP, "direct lattice-point box")
 
     bound_rows = []  # 0 <= x_e <= t, as flat rows: coefficients, then rhs
     for e in range(num_edges):
@@ -173,10 +188,17 @@ def ehrhart_fit_check(
     h: Hypergraph, theorem_coeffs: Sequence, cap: int = DEFAULT_GENERATOR_CAP
 ) -> OracleReport:
     """Interpolate direct dilate counts and compare against the census
-    polynomial's coefficients, `theorem_coeffs`."""
-    m = cycle_space_dim(h.n, h.d)
-    points = [(t, lattice_points_direct(h, t, cap=cap)) for t in range(1, m + 2)]
-    fitted = _interpolate(points, m)
+    polynomial's coefficients, `theorem_coeffs`.
+
+    The polynomial's degree is the rank r of the edge columns, found by the
+    oracle's own elimination, so the dilates t = 1..r+1 fix it. They are
+    counted largest first: a box over BOX_CAP is then refused before any
+    scan.
+    """
+    basis: list = []
+    rank = sum(_push_independent(basis, [Fraction(x) for x in c]) for c in _generator_columns(h, cap))
+    points = [(t, lattice_points_direct(h, t, cap=cap)) for t in range(rank + 1, 0, -1)]
+    fitted = _interpolate(points, rank)
     while len(fitted) > 1 and fitted[-1] == 0:
         fitted.pop()
     oracle_coeffs = tuple(int(c) if c.denominator == 1 else c for c in fitted)

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, product
 from math import comb
@@ -27,13 +28,15 @@ from acyclo import (
 )
 from acyclo.census import (
     _cone_columns,
+    _count_forests,
     _forest_nodes,
+    _torsion_of,
     shard_prefixes,
 )
 from acyclo.complexes import edge_columns
 from acyclo.exactalg import Echelon
 from acyclo.oracle import matrix_tree_sum, torsion_rowreduce
-from conftest import random_connected_graph, random_hypergraph
+from conftest import RP2_TRIANGLES, random_connected_graph, random_hypergraph
 
 
 def brute_force_forests(h):
@@ -305,6 +308,29 @@ def test_forest_stream_matches_the_recursive_echelon_dfs(name, exact, shard):
         assert got or shard
 
 
+def counted_stream(cols, shard=None):
+    """The `_forest_nodes` stream in the shape `_count_forests` returns."""
+    counts = [0] * (len(cols) + 1)
+    twisted = []
+    for chosen, pivot in _forest_nodes(cols, shard=shard):
+        if pivot in (1, -1):
+            counts[len(chosen)] += 1
+        else:
+            twisted.append((chosen, pivot))
+    return counts, twisted
+
+
+def test_forest_count_of_zero_dependent_and_twisted_columns(monkeypatch):
+    # the prefixes of (3, 4) and (7, 8) choose edges 0 and 1, whose last pivot is -2
+    cols = [(1, 1, 0), (1, -1, 0), (0, 0, 0), (2, 0, 1), (0, 1, 1), (1, 1, 0)]
+    for slots in (1, 2, census.COUNT_SLOTS):
+        monkeypatch.setattr(census, "COUNT_SLOTS", slots)
+        for shard in (None, (0, 2), (1, 2), (3, 4), (7, 8)):
+            assert _count_forests(cols, shard) == counted_stream(cols, shard)
+    assert _count_forests(cols, (3, 4))[1][0] == ((0, 1), -2)
+    assert _count_forests([]) == ([1], [])
+
+
 def test_forest_stream_of_zero_and_dependent_columns():
     cols = [(0, 0), (1, 2), (2, 4), (0, 0), (0, 3), (1, 1)]
     for exact_size in (None, 0, 1, 2, 3):
@@ -339,6 +365,8 @@ def test_forest_stream_at_the_hadamard_bound(monkeypatch):
             want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
             assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
     assert list(_forest_nodes(cols, exact_size=8)) == [(tuple(range(8)), 4096)]
+    for shard in (None, (1, 4)):
+        assert _count_forests(cols, shard) == counted_stream(cols, shard)
     monkeypatch.setattr(census, "pack_width", lambda vectors: (4096).bit_length())
     assert list(_forest_nodes(cols)) != reference_forest_nodes(cols)
 
@@ -357,6 +385,8 @@ def test_forest_stream_of_large_entries_and_zeros(seed):
         for shard in (None, (0, 1), (2, 3), (5, 8)):
             want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
             assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
+    for shard in (None, (2, 3), (5, 8)):
+        assert _count_forests(cols, shard) == counted_stream(cols, shard)
 
 
 def cone_hypertrees(h):
@@ -408,3 +438,68 @@ def test_matrix_tree_sum_equals_kirchhoff_on_graphs():
         g = random_connected_graph(rng)
         assert matrix_tree_sum(g) == kirchhoff_tree_count(g) == volume(g)
     assert matrix_tree_sum(Hypergraph(4, 1, ((1, 2), (3, 4)))) == 0
+
+
+def stream_ehrhart(h, shard=None):
+    """The Ehrhart coefficients summed over the `_forest_nodes` stream, 1 for
+    a set whose last pivot is +-1 and its `_torsion_of` otherwise, and the
+    sets that took a `_torsion_of` call, in stream order."""
+    cols = _cone_columns(h)
+    coeffs, twisted = counted_stream(cols, shard)
+    for chosen, _ in twisted:
+        coeffs[len(chosen)] += _torsion_of(cols, chosen)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs), [chosen for chosen, _ in twisted]
+
+
+def twisted_hypergraph(seed):
+    """A relabelled RP^2 (a hypertree with torsion 2) on 6 of n = 6 or 7
+    vertices, plus up to 4 random triangles."""
+    rng = random.Random(seed)
+    n = 6 + seed % 2
+    label = rng.sample(range(1, n + 1), 6)
+    edges = {tuple(sorted(label[v - 1] for v in t)) for t in RP2_TRIANGLES}
+    edges.update(rng.sample(list(combinations(range(1, n + 1), 3)), rng.randint(0, 4)))
+    return Hypergraph.from_edges(n, 2, sorted(edges))
+
+
+COUNTER_INPUTS = {**STREAM_INPUTS, **{f"twisted-{seed}": twisted_hypergraph(seed) for seed in range(20)}}
+
+
+def counted_ehrhart(h, monkeypatch, shard=None):
+    """`ehrhart(h)` and the sets it passed to `_torsion_of`."""
+    calls = []
+    torsion_of = census._torsion_of
+    monkeypatch.setattr(census, "_torsion_of", lambda cols, chosen: calls.append(chosen) or torsion_of(cols, chosen))
+    coefficients = ehrhart(h, shard=shard).coefficients
+    monkeypatch.setattr(census, "_torsion_of", torsion_of)
+    return coefficients, calls
+
+
+@pytest.mark.parametrize("slots", [1, 2, census.COUNT_SLOTS])
+@pytest.mark.parametrize("name", COUNTER_INPUTS)
+def test_ehrhart_counter_matches_the_stream(name, slots, monkeypatch):
+    h = COUNTER_INPUTS[name]
+    want = stream_ehrhart(h)
+    assert want[1] or not name.startswith("twisted")
+    monkeypatch.setattr(census, "COUNT_SLOTS", slots)
+    assert counted_ehrhart(h, monkeypatch) == want
+
+
+@pytest.mark.parametrize("total", [3, 8])
+@pytest.mark.parametrize("name", ["A(5,2)", "A(6,3)", "random-3-uniform-b", "twisted-0", "twisted-1"])
+def test_ehrhart_counter_matches_the_stream_on_every_shard(name, total, monkeypatch):
+    h = COUNTER_INPUTS[name]
+    for i in range(total):
+        assert counted_ehrhart(h, monkeypatch, shard=(i, total)) == stream_ehrhart(h, shard=(i, total))
+
+
+def test_ehrhart_of_a62_makes_22_smith_form_calls_and_no_cyclic_garbage(k62, monkeypatch):
+    calls = []
+    invariant_factors = census._invariant_factors
+    monkeypatch.setattr(census, "_invariant_factors", lambda *args: calls.append(args) or invariant_factors(*args))
+    gc.collect()
+    assert ehrhart(k62).evaluate(1) == 358897
+    assert gc.collect() == 0
+    assert len(calls) == 22

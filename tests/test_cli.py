@@ -655,6 +655,19 @@ def test_oracle_on_a_wide_input_is_skipped(command, tmp_path, capsys):
     assert elapsed < 1
 
 
+def test_volume_oracle_on_a_long_path_skips_the_fit(tmp_path, capsys):
+    # 8 edges on 20 vertices: the fit's box is over oracle.BOX_CAP, so only
+    # the Kirchhoff check runs
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": 20, "d": 1, "edges": [[i, i + 1] for i in range(1, 9)]}))
+    start = time.perf_counter()
+    code, out = run_cli(["volume", "--input", str(path), "--oracle"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert [r["quantity"] for r in json.loads(out)["oracle_reports"]] == ["volume vs kirchhoff"]
+    assert elapsed < 5
+
+
 def test_oracle_subcommand_on_a_wide_input(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text('{"n": 3000, "d": 1, "edges": [[1, 2]]}')

@@ -19,6 +19,7 @@ from acyclo import (
     torsion_rowreduce,
     volume,
 )
+from acyclo import oracle
 from acyclo.errors import BudgetExceededError
 from acyclo.oracle import region_count
 
@@ -85,6 +86,27 @@ def test_ehrhart_below_full_degree():
     assert report.agreement
     assert report.oracle_value == (1, 2, 1)
     assert lattice_point_count(h) == lattice_points_direct(h, 1) == 4
+
+
+def test_fit_check_counts_rank_plus_one_dilates_largest_first(monkeypatch):
+    # two disjoint edges: rank 2, below cycle_space_dim(4, 1) = 3
+    dilates = []
+    direct = oracle.lattice_points_direct
+    monkeypatch.setattr(oracle, "lattice_points_direct", lambda h, t, cap: dilates.append(t) or direct(h, t, cap))
+    assert ehrhart_fit_check(Hypergraph(4, 1, ((1, 2), (3, 4))), (1, 2, 1)).agreement
+    assert dilates == [3, 2, 1]
+
+
+def test_fit_check_refuses_a_box_over_the_cap_before_any_scan(monkeypatch):
+    # an 8-edge path on 20 vertices: rank 8, and the box of the 9-dilate has
+    # 10**2 * 19**6 points; the cycle space dimension 19 would ask for t = 20
+    path = Hypergraph.from_edges(20, 1, [(i, i + 1) for i in range(1, 9)])
+    monkeypatch.setattr(oracle, "solve_feasibility", None)  # any scan would raise TypeError
+    with pytest.raises(BudgetExceededError) as exc:
+        ehrhart_fit_check(path, ehrhart(path).coefficients)
+    assert exc.value.bound == 10**2 * 19**6 > oracle.BOX_CAP
+    with pytest.raises(BudgetExceededError):
+        lattice_points_direct(path, 2)
 
 
 def test_fit_check_k3(k3):
