@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable, Optional
 
-from . import census, faces, oracle
+from . import census, complexes, faces, oracle
 from .complexes import Hypergraph, complete_hypergraph, cycle_space_dim
 from .errors import _EXACT_DIGITS, BudgetExceededError, HypergraphParseError
 from .faces import Hypertournament, SignPattern
@@ -104,14 +104,26 @@ def _scalar(value):
 
 def _json(value, indent: str = "\n") -> str:
     """value laid out as json.dumps(value, indent=2) lays it out, with the
-    leaves of _scalar; indent is the newline and indentation before value."""
+    leaves of _scalar; indent is the newline and indentation before value.
+
+    The common leaves come first, tested by exact type, so a bool (an int
+    subclass) never passes for an int; a list of exact ints is written in
+    one join."""
+    kind = type(value)
+    if kind is int:
+        return f'"{value}"'
+    if kind is str:
+        return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
         items = (f"{encode_basestring_ascii(str(k))}: {_json(v, inner)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            return "[" + inner + '"' + ('",' + inner + '"').join(map(str, value)) + '"' + indent + "]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
     leaf = _scalar(value)
     return encode_basestring_ascii(leaf) if isinstance(leaf, str) else json.dumps(leaf)
 
@@ -314,16 +326,24 @@ def _duality_check(args, h, report) -> int:
 
 
 def _vertices(args, h, report) -> None:
-    verts = list(faces.enumerate_vertices(h, shard=args.shard, **_budget_kwargs(args)))
+    # every vertex carries a comb(n, d)-entry point: the report holds at
+    # most complexes.DENSE_ENTRY_CAP entries of them, read here so that it
+    # can be lowered
+    cap, rows = complexes.DENSE_ENTRY_CAP, comb(h.n, h.d)
+    verts = []
+    for p, point in faces.enumerate_vertices(h, shard=args.shard, **_budget_kwargs(args)):
+        if (len(verts) + 1) * rows > cap:
+            raise BudgetExceededError((len(verts) + 1) * rows, cap, "vertex point entries")
+        verts.append({"pattern": p.as_string(), "point": point})
     report["count"] = len(verts)
-    report["vertices"] = [{"pattern": p.as_string(), "point": list(point)} for p, point in verts]
+    report["vertices"] = verts
 
 
 def _faces(args, h, report) -> None:
     lattice = faces.face_lattice(h, **_budget_kwargs(args))
     report["f_vector"] = {str(k): v for k, v in lattice.f_vector().items()}
     report["faces"] = [
-        {"dimension": f.dimension, "pattern": f.pattern.as_string(), "witness": list(f.witness)}
+        {"dimension": f.dimension, "pattern": f.pattern.as_string(), "witness": f.witness}
         for f in lattice
     ]
 

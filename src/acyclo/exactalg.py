@@ -10,11 +10,11 @@ all run. `bareiss_step` is its one elimination step, which `bareiss_pivot`
 applies to the rows of `ratlp`'s integer simplex tableau too, and `lift` its
 one back-substitution step, shared with Fourier-Motzkin. The Smith form
 keeps its own elimination, so that it can check `rank` independently. `pack`,
-`digit` and `lead` keep an integer vector as one Python int of signed
-base-2**b digits, `pack_width` choosing b from the Hadamard bound of the
-vectors so that every Bareiss minor of them fits a digit: the hyperforest DFS
-of `census` carries its candidate columns that way, one big-int Bareiss step
-per column.
+`digit`, `unpack` and `lead` keep an integer vector as one Python int of
+signed base-2**b digits, `pack_width` choosing b from the Hadamard bound of
+the vectors so that every Bareiss minor of them fits a digit: the hyperforest
+DFS of `census` carries its candidate columns that way, one big-int Bareiss
+step per column, and the face lattice of `faces` sums facet normals that way.
 `IntMatrix.determinant` keeps its own Bareiss loop, because the oracles that
 check the census (the Kirchhoff tree count and the matrix-tree sum) are built
 on it and should not share code with the path they check. Everything runs
@@ -366,6 +366,14 @@ def digit(x: int, b: int, p: int) -> int:
     added to digits 0..p makes them nonnegative, so none borrows from p."""
     half, mask = 1 << b - 1, (1 << b) - 1
     return (x + half * ((1 << b * p + b) - 1) // mask >> b * p & mask) - half
+
+
+def unpack(x: int, b: int, length: int) -> list[int]:
+    """The first `length` digits of packed x, centred as `digit` centres
+    them, in one pass."""
+    half, mask = 1 << b - 1, (1 << b) - 1
+    x += half * ((1 << b * length) - 1) // mask
+    return [(x >> b * p & mask) - half for p in range(length)]
 
 
 def lead(x: int, b: int) -> int:

@@ -28,7 +28,7 @@ from .complexes import (
     permutation_sign,
 )
 from .errors import BudgetExceededError
-from .exactalg import Echelon, IntMatrix, primitive, rank
+from .exactalg import Echelon, IntMatrix, pack, primitive, rank, unpack
 from .ratlp import solve_feasibility
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
@@ -370,37 +370,62 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
         raise BudgetExceededError(bound, budget, "face enumeration")
     circuits = _signed_circuits(h)
     support, restricted, _ = _support_rows(h)
+    width = len(support)
     records = []  # (plus mask, minus mask, dimension), one per face
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, ())]  # the last entry: the zero edges' columns, one flat tuple
     while stack:
-        k, plus, minus = stack.pop()
+        k, plus, minus, zero_cols = stack.pop()
         if k == num_edges:
-            zero_cols = [restricted[j] for j in range(num_edges) if not (plus | minus) >> j & 1]
-            records.append((plus, minus, rank(IntMatrix.from_rows(zero_cols, cols=len(support)))))
+            zeros = num_edges - (plus | minus).bit_count()
+            records.append((plus, minus, rank(IntMatrix(zeros, width, zero_cols))))
             continue
         up, down = _extends(plus, minus, circuits[k])
         if up == down:
-            stack.append((k + 1, plus, minus))
+            stack.append((k + 1, plus, minus, zero_cols + restricted[k]))
         if down:
-            stack.append((k + 1, plus, minus | 1 << k))
+            stack.append((k + 1, plus, minus | 1 << k, zero_cols))
         if up:  # popped first
-            stack.append((k + 1, plus | 1 << k, minus))
+            stack.append((k + 1, plus | 1 << k, minus, zero_cols))
     facet_dimension = max(dimension for _, _, dimension in records) - 1  # the full face's, less one
+    # Facet t sets bit t of in_plus[j] (in_minus[j]) when it is + (-) on
+    # edge j. A face lies in facet t exactly when its pattern is + wherever
+    # the facet's is +, and - wherever it is -: when bit t is set in no
+    # in_plus[j] off the face's plus mask and no in_minus[j] off its minus.
     normals = []
+    in_plus, in_minus = [0] * num_edges, [0] * num_edges
     for plus, minus, dimension in records:
         if dimension == facet_dimension:
             signs = _signs(plus, minus, num_edges)
             point = _solve_on_support(h, signs)
             if point is None:
                 raise RuntimeError(f"no cochain realizes the facet {signs}, which every signed circuit admits")
-            normals.append((plus, minus, primitive(point[0])))
+            bit = 1 << len(normals)
+            for j in range(num_edges):
+                if plus >> j & 1:
+                    in_plus[j] |= bit
+                elif minus >> j & 1:
+                    in_minus[j] |= bit
+            normals.append(_embed(h, primitive(point[0])))
+    # Each normal as one int of signed digits, wide enough for any sum of them.
+    ambient, every = comb(h.n, h.d), (1 << len(normals)) - 1
+    b = (max((abs(x) for v in normals for x in v), default=0) * len(normals)).bit_length() + 1
+    packed = [pack(v, b) for v in normals]
     faces = []
     for plus, minus, dimension in records:
-        w = (0,) * len(support)
-        for facet_plus, facet_minus, normal in normals:
-            if facet_plus & plus == facet_plus and facet_minus & minus == facet_minus:
-                w = tuple(map(add, w, normal))
-        faces.append(FaceDescriptor(SignPattern(_signs(plus, minus, num_edges)), dimension, _embed(h, primitive(w))))
+        outside = 0
+        for j in range(num_edges):
+            if not plus >> j & 1:
+                outside |= in_plus[j]
+            if not minus >> j & 1:
+                outside |= in_minus[j]
+        inside = every & ~outside
+        total = 0
+        while inside:
+            t = inside & -inside
+            total += packed[t.bit_length() - 1]
+            inside ^= t
+        w = primitive(unpack(total, b, ambient))
+        faces.append(FaceDescriptor(SignPattern(_signs(plus, minus, num_edges)), dimension, w))
     return FaceLattice(h, faces)
 
 

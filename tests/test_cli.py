@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acyclo import Hypergraph, census, cli, complete_hypergraph, faces, oracle
+from acyclo import Hypergraph, census, cli, complete_hypergraph, complexes, faces, oracle
 from acyclo.cli import main, parse_hypergraph, serialize_hypergraph
 from acyclo.errors import HypergraphParseError
 
@@ -307,6 +307,17 @@ WRITER_REPORTS = {
         'k"e\\y': ['quote " backslash \\ tab \t newline \n bell \x07 nul \x00', "Zürich ∂ 😀", ""],
         "source": "données/\"graph\".json",
     },
+    # the writer's one-join path takes only lists of exact ints: a bool is
+    # an int subclass but prints as true, not "1"
+    "int-and-bool": {"mixed": [1, True], "flipped": (False, 0)},
+    "ints-mixed-with-other-leaves": {
+        "values": [3, None, -4, Fraction(1, 2), "7", 8, Fraction(6), True],
+        "tail": ["x", 1, 2],
+    },
+    "all-bools": {"flags": [True, True, False]},
+    "one-int": {"single": [42], "single-tuple": (-1,)},
+    "nested-ints": {"matrix": [[1, 2], [3, -4], [0], []], "deep": [[[5, 6]], [[7]]]},
+    "huge-negative-in-tuple": {"point": (0, -(10**200 + 7), 10**200)},
 }
 
 
@@ -640,6 +651,36 @@ def test_dense_boundary_over_its_cap_fails_fast(n, d, capsys):
     assert captured.out == ""
     assert "dense boundary entries" in captured.err
     assert elapsed < 1
+
+
+def test_vertex_points_over_the_dense_cap_fail(monkeypatch, capsys):
+    # A(4,1) has 24 vertices, each with a point of comb(4, 1) = 4 entries
+    monkeypatch.setattr(complexes, "DENSE_ENTRY_CAP", 96)
+    code, out = run_cli(["vertices", "--complete", "4", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["count"] == "24"
+    monkeypatch.setattr(complexes, "DENSE_ENTRY_CAP", 95)
+    code = main(["vertices", "--complete", "4", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "vertex point entries: 96 candidates exceed the budget of 95" in captured.err
+
+
+def test_many_vertices_with_wide_points_fail_fast(tmp_path, capsys):
+    # 16 disjoint edges on 20000 vertices: 2**16 vertices, each with a point
+    # of 20000 entries, 1.3 * 10**9 in all; the cap stops the list at 500
+    edges = [[2 * i + 1, 2 * i + 2] for i in range(16)]
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps({"n": 20000, "d": 1, "edges": edges}))
+    start = time.perf_counter()
+    code = main(["vertices", "--input", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "vertex point entries" in captured.err
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("command", ["volume", "lattice-points"])

@@ -19,7 +19,7 @@ from acyclo import (
     saturation_index,
     snf,
 )
-from acyclo.exactalg import Echelon, digit, lead, pack, pack_width, primitive
+from acyclo.exactalg import Echelon, digit, lead, pack, pack_width, primitive, unpack
 from acyclo.oracle import torsion_rowreduce
 
 from conftest import RP2_TRIANGLES
@@ -230,10 +230,6 @@ def test_echelon_last_pivot_is_the_determinant(rows):
         assert not all(accepted)
 
 
-def unpack(x, b, length):
-    return [digit(x, b, p) for p in range(length)]
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(low_rank_matrices(), matrices.map(IntMatrix.from_rows)), matrices)
 def test_packed_bareiss_step_carries_vectors_to_their_reduction(a, extra):
@@ -267,7 +263,7 @@ def test_pack_round_trips_the_extreme_digits(b):
     top = (1 << b - 1) - 1
     for v in ([top, -top, 0, top], [-top, -top, -top], [0, 0, top], [1, -1, 0, 0, -top]):
         x = pack(v, b)
-        assert unpack(x, b, len(v)) == v
+        assert unpack(x, b, len(v)) == [digit(x, b, p) for p in range(len(v))] == v
         assert lead(x, b) == next(a for a in v if a)
     assert pack([], b) == 0 and unpack(0, b, 3) == [0, 0, 0]
 

@@ -741,8 +741,15 @@ def test_face_lattice_lps_only_build_witnesses(monkeypatch):
 
 @pytest.mark.parametrize(
     "h",
-    [complete_hypergraph(4, 2), complete_hypergraph(5, 1), SQUARE, TETRAHEDRON_BOUNDARY],
-    ids=["A(4,2)", "A(5,1)", "square", "tetrahedron-boundary"],
+    [
+        complete_hypergraph(4, 2),
+        complete_hypergraph(5, 1),
+        SQUARE,
+        TETRAHEDRON_BOUNDARY,
+        random_3_uniform(4, edges=9),
+        random_3_uniform(4, edges=10),
+    ],
+    ids=["A(4,2)", "A(5,1)", "square", "tetrahedron-boundary", "random-6-9", "random-6-10"],
 )
 def test_witnesses_are_sums_of_facet_kernel_vectors(h, monkeypatch):
     """A facet's witness is +- the primitive kernel vector of its zero columns
@@ -758,9 +765,12 @@ def test_witnesses_are_sums_of_facet_kernel_vectors(h, monkeypatch):
         zero_cols = [restricted[j] for j in facet.pattern.zero_positions()]
         (kernel,) = nullspace(IntMatrix.from_rows(zero_cols, cols=len(support)))
         assert facet.witness in (faces._embed(h, kernel), faces._embed(h, [-x for x in kernel]))
+    # a face refines a facet when the facet's nonzero signs are among its own
+    nonzero = [({(i, v) for i, v in enumerate(f.pattern.values) if v}, f.witness) for f in fs]
     for face in lattice:
-        total = [sum(f.witness[i] for f in fs if face.pattern.refines(f.pattern)) for i in range(len(face.witness))]
-        assert face.witness == primitive(total)
+        signs = set(enumerate(face.pattern.values))
+        total = [sum(column) for column in zip(*(w for facet, w in nonzero if facet <= signs))]
+        assert face.witness == primitive(total or [0] * len(face.witness))
 
 
 @pytest.mark.parametrize(
