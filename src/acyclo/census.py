@@ -4,13 +4,12 @@ The enumerator walks edge subsets in lexicographic depth-first order, on an
 explicit stack. Each level keeps its remaining candidate columns reduced, by
 fraction-free (Bareiss) elimination, against the chosen ones, each packed
 into one int of signed digits (`exactalg.pack`): choosing a column applies
-one elimination step to each later candidate, one big-int step per column,
-and a candidate that reduces to zero is dependent in the whole subtree, so
-it is dropped there. The last pivot equals (up to sign) the determinant of
-the pivot submatrix of the chosen columns; when it is +-1 the column lattice
-is saturated and the torsion order is 1 without a Smith-form call.
-`ehrhart` counts the same DFS by subtree (`_count_forests`) instead of
-listing its sets (`_forest_nodes`).
+one step of `exactalg.carry` to each later candidate, and a candidate that
+reduces to zero is dependent in the whole subtree, so it is dropped there.
+The last pivot equals (up to sign) the determinant of the pivot submatrix of
+the chosen columns; when it is +-1 the column lattice is saturated and the
+torsion order is 1 without a Smith-form call. `ehrhart` counts the same DFS
+by subtree (`_count_forests`) instead of listing its sets (`_forest_nodes`).
 
 The columns are the boundary columns restricted to the d-subsets that miss
 vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
@@ -36,7 +35,7 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import _invariant_factors, lead, pack, pack_width
+from .exactalg import _invariant_factors, carry, lead, pack, pack_width
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -113,27 +112,6 @@ def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
         yield tuple(bool(mask >> j & 1) for j in range(plen))
 
 
-def _carry(pending, w, prev, pv, b, half, mask):
-    """Choose packed column w, pivot pv, after a pivot prev: the pending
-    candidates after w's Bareiss step, in order, without those that reduce
-    to zero. half and mask are 2**(b-1) and 2**b - 1, and coef is a
-    candidate's centred digit at w's pivot (`digit`)."""
-    shift = ((w & -w).bit_length() - 1) // b * b
-    low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
-    out = []
-    for j, x in pending:
-        coef = (x + low >> shift & mask) - half
-        if coef:
-            x = (pv * x - coef * w) // prev
-            if x:
-                out.append((j, x))
-        elif pv != prev:
-            out.append((j, pv * x // prev))
-        else:
-            out.append((j, x))
-    return out
-
-
 def _prefix_states(cols, b: int, shard: Optional[Shard]):
     """The nodes a DFS starts from: for each of the shard's `shard_prefixes`
     (one empty prefix without a shard) that heads an independent subset,
@@ -150,7 +128,7 @@ def _prefix_states(cols, b: int, shard: Optional[Shard]):
                     break
                 chosen.append(j)
                 pv = lead(head[1], b)
-                live, pivot = _carry(live, head[1], pivot, pv, b, half, mask), pv
+                live, pivot = carry(live, head[1], pivot, pv, b, half, mask), pv
         else:
             yield chosen, pivot, live
 
@@ -201,7 +179,7 @@ def _forest_nodes(
             chosen.append(j)
             stack.append((live, i))
             pv = lead(x, b)
-            live = _carry(live[i:], x, values[-1], pv, b, half, mask)
+            live = carry(live[i:], x, values[-1], pv, b, half, mask)
             values.append(pv)
             if exact_size is None:
                 yield tuple(chosen), pv
@@ -247,7 +225,7 @@ def _count_forests(
                     counts[1] += 1
                 else:
                     twisted.append(((*chosen, j), pv))
-                rest = _carry(live[i:], x, pivot, pv, b, half, mask) if i < len(live) else ()
+                rest = carry(live[i:], x, pivot, pv, b, half, mask) if i < len(live) else ()
                 if not rest:
                     continue
                 sub_key = (pv, *rest)

@@ -5,16 +5,17 @@ Smith normal form with unimodular witnesses, built from four operations
 a column) that each act on the matrix and on the transform they change;
 lattice saturation indices; and one incremental fraction-free (Bareiss)
 elimination kernel, `Echelon`, on which rank, primitive integer kernels, the
-support rows and signed circuits of `faces` and the equalities of `ratlp`
-all run. `bareiss_step` is its one elimination step, which `bareiss_pivot`
-applies to the rows of `ratlp`'s integer simplex tableau too, and `lift` its
-one back-substitution step, shared with Fourier-Motzkin. The Smith form
-keeps its own elimination, so that it can check `rank` independently. `pack`,
-`digit`, `unpack` and `lead` keep an integer vector as one Python int of
-signed base-2**b digits, `pack_width` choosing b from the Hadamard bound of
-the vectors so that every Bareiss minor of them fits a digit: the hyperforest
-DFS of `census` carries its candidate columns that way, one big-int Bareiss
-step per column, and the face lattice of `faces` sums facet normals that way.
+support rows of `faces` and the equalities of `ratlp` all run. `bareiss_step`
+is its one elimination step, which `bareiss_pivot` applies to the rows of
+`ratlp`'s integer simplex tableau too, and `lift` its one back-substitution
+step, shared with Fourier-Motzkin. The Smith form keeps its own elimination,
+so that it can check `rank` independently. `pack`, `digit`, `unpack` and
+`lead` keep an integer vector as one Python int of signed base-2**b digits,
+`pack_width` choosing b from the Hadamard bound of the vectors so that every
+Bareiss minor of them fits a digit, and `carry` is the Bareiss step on such
+ints, one big-int step per column: the hyperforest DFS of `census` and the
+signed-circuit DFS of `faces` carry their candidate columns that way, and
+the face lattice of `faces` sums facet normals that way.
 `IntMatrix.determinant` keeps its own Bareiss loop, because the oracles that
 check the census (the Kirchhoff tree count and the matrix-tree sum) are built
 on it and should not share code with the path they check. Everything runs
@@ -381,6 +382,27 @@ def lead(x: int, b: int) -> int:
     pivot of a reduced vector. No digit below it needs lifting."""
     half = 1 << b - 1
     return ((x >> ((x & -x).bit_length() - 1) // b * b) + half & (1 << b) - 1) - half
+
+
+def carry(pending, w, prev, pv, b, half, mask):
+    """Choose packed column w, pivot pv, after a pivot prev: the pending
+    candidates after w's Bareiss step, in order, without those that reduce
+    to zero. half and mask are 2**(b-1) and 2**b - 1, and coef is a
+    candidate's centred digit at w's pivot (`digit`)."""
+    shift = ((w & -w).bit_length() - 1) // b * b
+    low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
+    out = []
+    for j, x in pending:
+        coef = (x + low >> shift & mask) - half
+        if coef:
+            x = (pv * x - coef * w) // prev
+            if x:
+                out.append((j, x))
+        elif pv != prev:
+            out.append((j, pv * x // prev))
+        else:
+            out.append((j, x))
+    return out
 
 
 def primitive(values: Sequence[int]) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from .complexes import (
     permutation_sign,
 )
 from .errors import BudgetExceededError
-from .exactalg import Echelon, IntMatrix, pack, primitive, rank, unpack
+from .exactalg import Echelon, IntMatrix, carry, lead, pack, pack_width, primitive, rank, unpack
 from .ratlp import solve_feasibility
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
@@ -158,57 +158,69 @@ def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
     A circuit is a minimal linearly dependent set of edges, signed by the
     coefficients of its dependency; it is stored as (plus mask, minus mask),
     edge j at bit j. A DFS over independent edge sets, in increasing order,
-    finds the circuit C once, at the set C minus its largest edge e: each
-    column carries a unit tag after its entries, so the echelon row that a
-    dependent column leaves has a zero column part and its dependency as tag,
-    and that dependency is C exactly when it uses every chosen edge.
+    finds the circuit C once, at the set C minus its largest edge e. A
+    node's candidates are the later columns, each with a unit tag after its
+    entries, packed and reduced against the chosen ones by `carry`. One whose
+    column digits are all zero is dependent, with its dependency as tag: C
+    when its tag support is the chosen edges and e. It is never a child.
     """
     support, restricted, _ = _support_rows(h)
     m = len(restricted)
-    tagged = [list(col) + [int(i == j) for i in range(m)] for j, col in enumerate(restricted)]
+    tagged = [col + (0,) * j + (1,) + (0,) * (m - 1 - j) for j, col in enumerate(restricted)]
+    b = pack_width(tagged)
+    half, mask = 1 << b - 1, (1 << b) - 1
+    low = len(support) * b  # the column digits' bits
+    bias = half * ((1 << b * m) - 1) // mask  # half in every tag digit
     by_last: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    _grow_circuits(Echelon(), tagged, len(support), 0, 0, by_last)
+    chosen, pivot, live, i = 0, 1, [(e, pack(c, b)) for e, c in enumerate(tagged)], 0
+    stack = []
+    while i < len(live) or stack:
+        if i == len(live):
+            chosen, pivot, live, i = stack.pop()
+            continue
+        e, x = live[i]
+        i += 1
+        if x & (1 << low) - 1:  # independent of the chosen edges
+            pv = lead(x, b)
+            rest = carry(live[i:], x, pivot, pv, b, half, mask)
+            if _coloop_free(rest, chosen | 1 << e, pv, low, b, bias):
+                stack.append((chosen, pivot, live, i))
+                chosen, pivot, live, i = chosen | 1 << e, pv, rest, 0
+        elif _tag_support(x, low, b, bias) == chosen | 1 << e:
+            tag = unpack(x >> low, b, e + 1)
+            plus = sum(1 << j for j, t in enumerate(tag) if t * tag[e] > 0)
+            by_last[e].append((plus, plus ^ chosen ^ 1 << e))
     return by_last
 
 
-def _grow_circuits(
-    ech: Echelon, tagged: list[list[int]], width: int, start: int, chosen: int, by_last: list
-) -> None:
-    """Add to by_last each circuit that contains the edges of the mask
-    `chosen`, whose tagged columns ech holds, and whose other edges are all
-    `start` or later.
+def _tag_support(x: int, low: int, b: int, bias: int) -> int:
+    """The edge mask of the nonzero tag digits of packed x, whose low bits
+    are zero: with the bias added no digit borrows, and XOR leaves a digit
+    nonzero exactly where it was."""
+    z, support, j = (x >> low) + bias ^ bias, 0, -1
+    while z:
+        skip = ((z & -z).bit_length() - 1) // b + 1
+        j, z = j + skip, z >> b * skip
+        support |= 1 << j
+    return support
 
-    Such a circuit exists only if no chosen edge is a coloop of the chosen
-    and the later edges, that is, only if each chosen edge is used by some
-    dependency among them. The later columns, pushed on top of ech, leave
-    rows whose tags span those dependencies, so the search stops below
-    `chosen` when their supports miss a chosen edge. A module function
-    rather than a closure, which would be a reference cycle.
-    """
-    m = len(tagged)
-    if chosen:
-        for e in range(start, m):
-            ech.push(tagged[e])
-        used = 0
-        for row, pivot in zip(ech.rows, ech.pivots):
-            if pivot >= width:
-                used |= sum(1 << j for j, x in enumerate(row[width:]) if x)
-        for _ in range(start, m):
-            ech.pop()
-        if chosen & ~used:
-            return
-    for e in range(start, m):
-        ech.push(tagged[e])  # always kept: the tag is nonzero
-        if ech.pivots[-1] < width:  # independent of the chosen edges
-            _grow_circuits(ech, tagged, width, e + 1, chosen | 1 << e, by_last)
+
+def _coloop_free(cands, chosen: int, pivot: int, low: int, b: int, bias: int) -> bool:
+    """Whether some dependency among the chosen edges and the candidates
+    (reduced against them, last pivot `pivot`) uses each chosen edge, as a
+    circuit holding them all needs: eliminating the candidates among
+    themselves leaves dependents whose tags span those dependencies."""
+    half, mask, column = 1 << b - 1, (1 << b) - 1, (1 << low) - 1
+    i = 0
+    while chosen and i < len(cands):  # chosen: the edges no dependent uses yet
+        x = cands[i][1]
+        i += 1
+        if x & column:
+            pv = lead(x, b)
+            cands, pivot, i = carry(cands[i:], x, pivot, pv, b, half, mask), pv, 0
         else:
-            dependency = ech.rows[-1][width:]
-            if sum(1 for x in dependency if x) == len(ech):
-                sign = 1 if dependency[e] > 0 else -1
-                plus = sum(1 << j for j, x in enumerate(dependency) if sign * x > 0)
-                minus = sum(1 << j for j, x in enumerate(dependency) if sign * x < 0)
-                by_last[e].append((plus, minus))
-        ech.pop()
+            chosen &= ~_tag_support(x, low, b, bias)
+    return not chosen
 
 
 def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[bool, bool]:
@@ -278,19 +290,19 @@ def enumerate_vertices(
     circuits = _signed_circuits(h)
     cols = edge_columns(h)
     for prefix in [()] if shard is None else shard_prefixes(num_edges, shard):
-        stack = [(0, 0, 0, (0,) * comb(h.n, h.d))]
+        stack = [(0, 0, 0, (), (0,) * comb(h.n, h.d))]
         while stack:
-            k, plus, minus, point = stack.pop()
+            k, plus, minus, signs, point = stack.pop()
             if k == num_edges:
-                yield SignPattern(_signs(plus, minus, num_edges)), point
+                yield SignPattern(signs), point
                 continue
             up, down = _extends(plus, minus, circuits[k])
             if k < len(prefix):
                 up, down = up and prefix[k], down and not prefix[k]
             if down:
-                stack.append((k + 1, plus, minus | 1 << k, point))
+                stack.append((k + 1, plus, minus | 1 << k, signs + (-1,), point))
             if up:  # popped first
-                stack.append((k + 1, plus | 1 << k, minus, tuple(map(add, point, cols[k]))))
+                stack.append((k + 1, plus | 1 << k, minus, signs + (1,), tuple(map(add, point, cols[k]))))
 
 
 def vertex_adjacency(h: Hypergraph, sigma1: SignPattern, sigma2: SignPattern) -> bool:
@@ -313,6 +325,7 @@ class FaceLattice:
     def __init__(self, hypergraph: Hypergraph, faces: Sequence[FaceDescriptor]):
         self.hypergraph = hypergraph
         self.faces = tuple(sorted(faces, key=lambda f: (f.dimension, f.pattern.values)))
+        self._vertices = tuple(f for f in self.faces if f.pattern.is_proper)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -331,9 +344,7 @@ class FaceLattice:
         return inner.pattern.refines(outer.pattern)
 
     def vertices_of(self, face: FaceDescriptor) -> tuple[FaceDescriptor, ...]:
-        return tuple(
-            f for f in self.faces if f.pattern.is_proper and f.pattern.refines(face.pattern)
-        )
+        return tuple(f for f in self._vertices if f.pattern.refines(face.pattern))
 
     def full_face(self) -> FaceDescriptor:
         return next(f for f in self.faces if all(v == 0 for v in f.pattern.values))
@@ -370,54 +381,47 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
         raise BudgetExceededError(bound, budget, "face enumeration")
     circuits = _signed_circuits(h)
     support, restricted, _ = _support_rows(h)
-    width = len(support)
-    records = []  # (plus mask, minus mask, dimension), one per face
-    stack = [(0, 0, 0, ())]  # the last entry: the zero edges' columns, one flat tuple
+    records = []  # (signs, dimension), one per face
+    stack = [(0, 0, 0, (), ())]  # the last entry: the zero edges' columns, one flat tuple
     while stack:
-        k, plus, minus, zero_cols = stack.pop()
+        k, plus, minus, signs, zero_cols = stack.pop()
         if k == num_edges:
-            zeros = num_edges - (plus | minus).bit_count()
-            records.append((plus, minus, rank(IntMatrix(zeros, width, zero_cols))))
+            records.append((signs, rank(IntMatrix(signs.count(0), len(support), zero_cols))))
             continue
         up, down = _extends(plus, minus, circuits[k])
         if up == down:
-            stack.append((k + 1, plus, minus, zero_cols + restricted[k]))
+            stack.append((k + 1, plus, minus, signs + (0,), zero_cols + restricted[k]))
         if down:
-            stack.append((k + 1, plus, minus | 1 << k, zero_cols))
+            stack.append((k + 1, plus, minus | 1 << k, signs + (-1,), zero_cols))
         if up:  # popped first
-            stack.append((k + 1, plus | 1 << k, minus, zero_cols))
-    facet_dimension = max(dimension for _, _, dimension in records) - 1  # the full face's, less one
+            stack.append((k + 1, plus | 1 << k, minus, signs + (1,), zero_cols))
+    facet_dimension = max(dimension for _, dimension in records) - 1  # the full face's, less one
     # Facet t sets bit t of in_plus[j] (in_minus[j]) when it is + (-) on
     # edge j. A face lies in facet t exactly when its pattern is + wherever
-    # the facet's is +, and - wherever it is -: when bit t is set in no
-    # in_plus[j] off the face's plus mask and no in_minus[j] off its minus.
+    # the facet's is +, and - wherever it is -: when bit t is in no off[j][s],
+    # the OR of in_plus[j] unless its sign s is + and in_minus[j] unless -.
     normals = []
     in_plus, in_minus = [0] * num_edges, [0] * num_edges
-    for plus, minus, dimension in records:
+    for signs, dimension in records:
         if dimension == facet_dimension:
-            signs = _signs(plus, minus, num_edges)
             point = _solve_on_support(h, signs)
             if point is None:
                 raise RuntimeError(f"no cochain realizes the facet {signs}, which every signed circuit admits")
             bit = 1 << len(normals)
-            for j in range(num_edges):
-                if plus >> j & 1:
-                    in_plus[j] |= bit
-                elif minus >> j & 1:
-                    in_minus[j] |= bit
+            for j, s in enumerate(signs):
+                if s:
+                    (in_plus if s > 0 else in_minus)[j] |= bit
             normals.append(_embed(h, primitive(point[0])))
     # Each normal as one int of signed digits, wide enough for any sum of them.
     ambient, every = comb(h.n, h.d), (1 << len(normals)) - 1
     b = (max((abs(x) for v in normals for x in v), default=0) * len(normals)).bit_length() + 1
     packed = [pack(v, b) for v in normals]
+    off = [(p | q, q, p) for p, q in zip(in_plus, in_minus)]
     faces = []
-    for plus, minus, dimension in records:
+    for signs, dimension in records:
         outside = 0
-        for j in range(num_edges):
-            if not plus >> j & 1:
-                outside |= in_plus[j]
-            if not minus >> j & 1:
-                outside |= in_minus[j]
+        for j, s in enumerate(signs):
+            outside |= off[j][s]
         inside = every & ~outside
         total = 0
         while inside:
@@ -425,13 +429,8 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
             total += packed[t.bit_length() - 1]
             inside ^= t
         w = primitive(unpack(total, b, ambient))
-        faces.append(FaceDescriptor(SignPattern(_signs(plus, minus, num_edges)), dimension, w))
+        faces.append(FaceDescriptor(SignPattern(signs), dimension, w))
     return FaceLattice(h, faces)
-
-
-def _signs(plus: int, minus: int, num_edges: int) -> tuple[int, ...]:
-    """The sign vector with these plus and minus edge masks."""
-    return tuple(1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in range(num_edges))
 
 
 def facets(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> tuple[FaceDescriptor, ...]:

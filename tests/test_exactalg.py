@@ -19,7 +19,7 @@ from acyclo import (
     saturation_index,
     snf,
 )
-from acyclo.exactalg import Echelon, digit, lead, pack, pack_width, primitive, unpack
+from acyclo.exactalg import Echelon, carry, digit, lead, pack, pack_width, primitive, unpack
 from acyclo.oracle import torsion_rowreduce
 
 from conftest import RP2_TRIANGLES
@@ -233,7 +233,7 @@ def test_echelon_last_pivot_is_the_determinant(rows):
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(low_rank_matrices(), matrices.map(IntMatrix.from_rows)), matrices)
 def test_packed_bareiss_step_carries_vectors_to_their_reduction(a, extra):
-    # The census DFS's step on packed ints: after each push, every carried
+    # The step on packed ints, `carry`: after each push, every carried
     # vector gets the newest row's Bareiss step, coef being its digit at the
     # row's pivot. Unpacked, the carried vectors equal `reduce` of the
     # originals, and are dropped once that reduction is zero.
@@ -253,6 +253,7 @@ def test_packed_bareiss_step_carries_vectors_to_their_reduction(a, extra):
             x = (pv * x - coef * w) // prev if coef else pv * x // prev
             if x:
                 stepped.append((k, x))
+        assert carry(carried, w, prev, pv, b, 1 << b - 1, (1 << b) - 1) == stepped
         carried = stepped
         want = [(k, ech.reduce(v)) for k, v in enumerate(vectors)]
         assert [(k, unpack(x, b, a.cols)) for k, x in carried] == [(k, r) for k, r in want if any(r)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations, permutations, product
@@ -30,8 +31,10 @@ from acyclo.census import shard_prefixes
 from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
-from acyclo.exactalg import primitive
+from acyclo.exactalg import pack, primitive
 from acyclo.ratlp import solve_feasibility
+
+from conftest import RP2_TRIANGLES
 
 
 def signs_of(values):
@@ -671,6 +674,16 @@ def test_a52_vertex_shards_union():
     assert sorted(sharded) == sorted(full)
 
 
+TETRAHEDRON_FILE = Hypergraph.from_edges(
+    **json.loads((Path(__file__).parent / "testdata" / "tetrahedron_boundary_5_2.json").read_text())
+)
+
+
+def random_4_uniform(seed, n=6, edges=12):
+    rng = random.Random(seed)
+    return Hypergraph.from_edges(n, 3, rng.sample(list(combinations(range(1, n + 1), 4)), edges))
+
+
 @pytest.mark.parametrize(
     "h",
     [
@@ -678,8 +691,15 @@ def test_a52_vertex_shards_union():
         complete_hypergraph(5, 1),
         random_3_uniform(3, n=5, edges=8),
         random_3_uniform(19, n=6, edges=12),
+        complete_hypergraph(5, 2),
+        TETRAHEDRON_FILE,  # rank 3, below cycle_space_dim(5, 2) = 6
+        random_4_uniform(2),  # rank 9, 7 circuits
+        Hypergraph.from_edges(6, 2, RP2_TRIANGLES + ((3, 5, 6), (4, 5, 6))),  # Bareiss pivots of 2
     ],
-    ids=["A(4,2)", "A(5,1)", "random-5-8", "random-6-12"],
+    ids=[
+        "A(4,2)", "A(5,1)", "random-5-8", "random-6-12", "A(5,2)", "tetrahedron-boundary",
+        "random-4-uniform-6-12", "rp2-and-two-triangles",
+    ],
 )
 def test_signed_circuits_are_the_minimal_dependent_sets(h):
     cols = edge_columns(h)
@@ -711,7 +731,29 @@ def test_signed_circuits_are_the_minimal_dependent_sets(h):
 
 def test_circuit_counts():
     assert [sum(map(len, faces._signed_circuits(complete_hypergraph(n, d)))) for n, d in
-            [(5, 2), (6, 1), (6, 3)]] == [15, 197, 31]
+            [(5, 2), (6, 1), (6, 3), (6, 2), (7, 1)]] == [15, 197, 31, 570, 1172]
+
+
+@pytest.mark.parametrize(
+    "n, d, digest",
+    [
+        (6, 1, "e15fea74b4677c1d39c3d4edaa7d354413441af1523680143c27d44bbb409465"),
+        (6, 3, "439ebb511e7230b67afefa634a9979b8a04317b408ee6b5440a40f1dc920b9fc"),
+    ],
+)
+def test_circuit_lists_keep_their_order(n, d, digest):
+    # the per-edge lists, in order, of the earlier Echelon-based search
+    by_last = faces._signed_circuits(complete_hypergraph(n, d))
+    assert hashlib.sha256(repr(by_last).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("b", [2, 3, 8, 33])
+def test_tag_support_reads_the_nonzero_digits(b):
+    top, half = (1 << b - 1) - 1, 1 << b - 1
+    bias = half * ((1 << b * 6) - 1) // ((1 << b) - 1)
+    for tag in ([0] * 6, [top, -top, 0, -half, 1, 0], [0, 0, 0, 0, 0, -1], [-half] * 6, [1, 0, -1, 0, top, -top]):
+        x = pack([0, 0] + tag, b)
+        assert faces._tag_support(x, 2 * b, b, bias) == sum(1 << j for j, t in enumerate(tag) if t)
 
 
 @pytest.mark.parametrize("shard", [None, (0, 4), (1, 4), (2, 4), (3, 4)], ids=["all", "0/4", "1/4", "2/4", "3/4"])
