@@ -35,7 +35,7 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import _invariant_factors, carry, lead, pack, pack_width
+from .exactalg import IntMatrix, _invariant_factors, carry, lead, pack, pack_width, snf
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -45,6 +45,9 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 # every state (40486 carries) takes about 5 MB, and the table must stay
 # bounded on any input.
 COUNT_SLOTS = 1024
+# Slots of `_forest_nodes`'s replay table, and the most items one stores.
+REPLAY_SLOTS = 256
+REPLAY_ITEMS = 32
 
 Shard = tuple[int, int]  # (index, total)
 
@@ -146,11 +149,18 @@ def _forest_nodes(
     `live` holds the current node's candidates: (edge, packed column reduced
     against the chosen ones) for each later edge independent of them, in
     order; `i` is the next one to try. The stack holds those of the nodes
-    above.
+    above, each with the key and trail mark of the node below it.
+
+    A subtree's items depend only on its depth, last pivot and live
+    candidates: a node that needs two more edges and yields at most
+    REPLAY_ITEMS stores them, sliced off `trail`, under that key as
+    `_count_forests` does; a later equal child replays them after its prefix.
     """
     b = pack_width(cols)
     half, mask = 1 << b - 1, (1 << b) - 1
     floor = exact_size or 0  # the size every visited subtree must reach
+    top = len(cols) if exact_size is None else exact_size  # the largest size yielded
+    table = [None] * REPLAY_SLOTS
     for chosen, pivot, live in _prefix_states(cols, b, shard):
         values = [pivot]  # the last pivot of each node on the path, from the start node down
         if exact_size is None or len(chosen) == exact_size:
@@ -158,12 +168,17 @@ def _forest_nodes(
         if exact_size is not None and len(chosen) >= exact_size:
             live = []
         stack = []
+        trail, base = [], 0  # the items since the dropped ones, how many were dropped
         i, end = 0, len(live)
         while True:
             if i == end or len(chosen) + end - i < floor:
                 if not stack:
                     break
-                live, i = stack.pop()
+                live, i, key, mark = stack.pop()
+                if base + len(trail) - mark > REPLAY_ITEMS:  # as have the nodes above: drop them
+                    base, trail = base + len(trail), []
+                elif key is not None:
+                    table[hash(key) % len(table)] = (key, trail[mark - base :])
                 end = len(live)
                 values.pop()
                 chosen.pop()
@@ -174,15 +189,26 @@ def _forest_nodes(
                 # A leaf needs no reduced candidates, only its pivot. With
                 # exact_size set, the cut above lets a last candidate
                 # through only if it completes the size.
-                yield (*chosen, j), lead(x, b)
+                trail.append(item := ((*chosen, j), lead(x, b)))
+                yield item
                 continue
-            chosen.append(j)
-            stack.append((live, i))
             pv = lead(x, b)
-            live = carry(live[i:], x, values[-1], pv, b, half, mask)
+            rest = carry(live[i:], x, values[-1], pv, b, half, mask)
+            depth, key = len(chosen) + 1, None
+            if len(rest) > 1 and depth + 2 <= top:
+                key = (depth, pv, *rest)
+                entry = table[hash(key) % len(table)]
+                if entry is not None and entry[0] == key:
+                    trail += [((*chosen, j, *e[depth:]), p) for e, p in entry[1]]
+                    yield from trail[len(trail) - len(entry[1]) :]
+                    continue
+            chosen.append(j)
+            stack.append((live, i, key, base + len(trail)))
+            live = rest
             values.append(pv)
             if exact_size is None:
-                yield tuple(chosen), pv
+                trail.append(item := (tuple(chosen), pv))
+                yield item
             i, end = 0, len(live)
 
 
@@ -266,14 +292,26 @@ def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
 
 def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
     """Spanning hypertrees of h counted by torsion order, read off as the
-    absolute last pivot on the cone columns."""
+    absolute last pivot on the cone columns. For a co-rank k = E - m below m
+    it picks the k edges each misses, on the rows of a kernel Z-basis (the
+    Smith form's last k right-transform columns): an m x m minor is g times
+    the complementary k x k one up to sign, g the product of the nonzero
+    invariant factors (Bjorner et al., *Oriented Matroids*, 1999)."""
     m = cycle_space_dim(h.n, h.d)
-    if len(h.edges) < m:
+    k = len(h.edges) - m
+    if k < 0:
         return {}
     bound = comb(len(h.edges), m)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hypertree enumeration")
-    return Counter(abs(p) for _, p in _forest_nodes(_cone_columns(h), exact_size=m, shard=shard))
+    cols, g = _cone_columns(h), 1
+    if k < m:
+        res = snf(IntMatrix.from_rows(list(zip(*cols)), cols=len(cols)))
+        factors = [f for f in res.invariant_factors if f]
+        if len(factors) < m:
+            return {}
+        cols, g = [res.right_transform.row(e)[m:] for e in range(len(cols))], prod(factors)
+    return Counter(g * abs(p) for _, p in _forest_nodes(cols, exact_size=min(k, m), shard=shard))
 
 
 def enumerate_spanning_hyperforests(

@@ -242,6 +242,8 @@ def _matrix_tree_check(args, h: Optional[Hypergraph], report: dict) -> Optional[
     h = complete_hypergraph(*args.complete) if h is None else h
     if "kalai_sum" in report:
         kalai_sum = report["kalai_sum"]
+    elif "volume" in report:  # a volume of d = 1, which Kirchhoff checks
+        return None
     else:
         kalai_sum = census.hypertree_census(h, **_budget_kwargs(args)).kalai_sum
     return oracle.OracleReport.compare("kalai sum vs matrix-tree", kalai_sum, oracle.matrix_tree_sum(h))
@@ -284,7 +286,11 @@ def _add_oracle_reports(args, h: Hypergraph, report: dict, checks=None) -> int:
 
 def _volume(args, h, report) -> None:
     report["ambient_dimension"] = cycle_space_dim(h.n, h.d)
-    report["volume"] = census.volume(h, shard=args.shard, **_budget_kwargs(args))
+    if args.oracle and h.d > 1:  # the matrix-tree check reads this census's Kalai sum
+        result = census.hypertree_census(h, **_budget_kwargs(args))
+        report["volume"], report["kalai_sum"] = result.weighted_volume, result.kalai_sum
+    else:
+        report["volume"] = census.volume(h, shard=args.shard, **_budget_kwargs(args))
 
 
 def _ehrhart(args, h, report) -> None:
@@ -396,7 +402,9 @@ class Command:
 
 _BUDGETED = ("--complete", "--input", "--format", "--budget")
 COMMANDS = {
-    "volume": Command(_BUDGETED + ("--shard", "--oracle"), _volume, (_kirchhoff_check, _ehrhart_fit_check)),
+    "volume": Command(
+        _BUDGETED + ("--shard", "--oracle"), _volume, (_kirchhoff_check, _ehrhart_fit_check, _matrix_tree_check)
+    ),
     "ehrhart": Command(_BUDGETED + ("--shard", "--oracle"), _ehrhart, (_ehrhart_fit_check,)),
     "lattice-points": Command(_BUDGETED + ("--shard", "--oracle"), _lattice_points, (_lattice_points_check,)),
     "kalai-census": Command(
@@ -410,8 +418,9 @@ COMMANDS = {
     "oracle": Command(_BUDGETED, _add_oracle_reports),
 }
 
-# `acyclo oracle` runs every entry's checks, each once, in table order.
-_ALL_CHECKS = tuple(dict.fromkeys(check for command in COMMANDS.values() for check in command.checks))
+# `acyclo oracle` runs every check of the table once, in this order.
+_ALL_CHECKS = (_kirchhoff_check, _ehrhart_fit_check, _lattice_points_check, _matrix_tree_check,
+               _vertex_patterns_check)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ from .complexes import (
     permutation_sign,
 )
 from .errors import BudgetExceededError
-from .exactalg import Echelon, IntMatrix, carry, lead, pack, pack_width, primitive, rank, unpack
+from .exactalg import Echelon, IntMatrix, carry, digit, lead, pack, pack_width, primitive, rank, unpack
 from .ratlp import solve_feasibility
 
 DEFAULT_PATTERN_BUDGET = 1 << 20
@@ -162,7 +162,8 @@ def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
     node's candidates are the later columns, each with a unit tag after its
     entries, packed and reduced against the chosen ones by `carry`. One whose
     column digits are all zero is dependent, with its dependency as tag: C
-    when its tag support is the chosen edges and e. It is never a child.
+    when its tag support is the chosen edges and e, never when its tag digit
+    at the newest chosen edge is 0 (dependent above). It is never a child.
     """
     support, restricted, _ = _support_rows(h)
     m = len(restricted)
@@ -186,10 +187,11 @@ def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
             if _coloop_free(rest, chosen | 1 << e, pv, low, b, bias):
                 stack.append((chosen, pivot, live, i))
                 chosen, pivot, live, i = chosen | 1 << e, pv, rest, 0
-        elif _tag_support(x, low, b, bias) == chosen | 1 << e:
-            tag = unpack(x >> low, b, e + 1)
-            plus = sum(1 << j for j, t in enumerate(tag) if t * tag[e] > 0)
-            by_last[e].append((plus, plus ^ chosen ^ 1 << e))
+        elif digit(x, b, len(support) + chosen.bit_length() - 1):  # 0 if it was dependent above
+            if _tag_support(x, low, b, bias) == chosen | 1 << e:
+                tag = unpack(x >> low, b, e + 1)
+                plus = sum(1 << j for j, t in enumerate(tag) if t * tag[e] > 0)
+                by_last[e].append((plus, plus ^ chosen ^ 1 << e))
     return by_last
 
 

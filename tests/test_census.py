@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -27,9 +28,11 @@ from acyclo import (
     volume,
 )
 from acyclo.census import (
+    DEFAULT_SUBSET_BUDGET,
     _cone_columns,
     _count_forests,
     _forest_nodes,
+    _hypertree_histogram,
     _torsion_of,
     shard_prefixes,
 )
@@ -306,6 +309,95 @@ def test_forest_stream_matches_the_recursive_echelon_dfs(name, exact, shard):
         got = list(_forest_nodes(cols, exact_size=exact_size, shard=shard))
         assert got == reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
         assert got or shard
+
+
+
+# Columns where node {1} (depth 1) and node {0, 1} (depth 2) carry the same
+# last pivot and reduced candidates, so a replay key without the depth would
+# give {1} the 4-edge sets of {0, 1}.
+DEPTH_TWINS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", [*STREAM_INPUTS, "depth-twins"])
+def test_forest_stream_with_a_tiny_replay_table(name, exact, monkeypatch):
+    if name == "depth-twins":
+        cols, size = DEPTH_TWINS, 4
+    else:
+        h = STREAM_INPUTS[name]
+        cols, size = _cone_columns(h), cycle_space_dim(h.n, h.d)
+    exact_size = size if exact else None
+    for shard in (None, (2, 3), (5, 8)):
+        want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+        for slots, items in product((1, 2), (1, 3)):
+            monkeypatch.setattr(census, "REPLAY_SLOTS", slots)
+            monkeypatch.setattr(census, "REPLAY_ITEMS", items)
+            assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
+
+
+def dual_side_inputs():
+    """Hypergraphs with fewer than 2m edges, m = cycle_space_dim: the ten
+    6-vertex RP^2s plus up to 4 triangles of `twisted_hypergraph`, each with
+    a hypertree of torsion 2, and seeded random ones, n 5-7, d 1-3."""
+    inputs = [twisted_hypergraph(seed) for seed in range(0, 20, 2)]
+    rng = random.Random(1999)
+    while len(inputs) < 60:
+        n, d = rng.randint(5, 7), rng.randint(1, 3)
+        m = cycle_space_dim(n, d)
+        top = min(comb(n, d + 1), 2 * m - 1, m + 5)
+        if top >= m:
+            inputs.append(random_hypergraph(rng, n, d, rng.randint(m, top)))
+    return inputs
+
+
+def test_dual_side_histogram_equals_the_primal_one(monkeypatch):
+    calls = []
+    snf = census.snf
+    monkeypatch.setattr(census, "snf", lambda a: calls.append(a) or snf(a))
+    inputs, twisted, nonempty = dual_side_inputs(), 0, 0
+    for h in inputs:
+        m = cycle_space_dim(h.n, h.d)
+        assert len(h.edges) < 2 * m
+        primal = Counter(abs(p) for _, p in _forest_nodes(_cone_columns(h), exact_size=m))
+        assert _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None) == primal
+        twisted += any(order > 1 for order in primal)
+        nonempty += bool(primal)
+    assert len(calls) == len(inputs)
+    assert twisted >= 10 and nonempty >= 40
+
+
+def test_rp2_is_one_hypertree_of_order_two_on_the_dual_side():
+    h = Hypergraph.from_edges(6, 2, sorted(RP2_TRIANGLES))  # co-rank 0: no edge to pick
+    assert _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None) == {2: 1}
+    assert [_hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, (i, 2)) for i in range(2)] == [{2: 1}, {}]
+    assert volume(h) == 2 and hypertree_census(h).kalai_sum == matrix_tree_sum(h) == 4
+
+
+@pytest.mark.parametrize(
+    "n, d, edges",
+    [
+        # the tetrahedron boundary on 1-4 is a cycle: rank 5 < m = 6, co-rank 0
+        (5, 2, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4)]),
+        # no triangle holds the edge 45, which cycles of K5 use: co-rank 1
+        (5, 2, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5)]),
+        # two triangles, disconnected: rank 4 < m = 5, co-rank 1
+        (6, 1, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+    ],
+)
+def test_rank_deficient_inputs_have_no_hypertree_on_the_dual_side(n, d, edges):
+    h = Hypergraph.from_edges(n, d, edges)
+    m = cycle_space_dim(n, d)
+    assert m <= len(h.edges) < 2 * m
+    assert list(_forest_nodes(_cone_columns(h), exact_size=m)) == []
+    assert _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None) == {}
+    assert volume(h) == 0
+
+
+def test_dual_side_shards_merge_to_the_whole_histogram():
+    h = complete_hypergraph(6, 3)  # co-rank 5 below m = 10
+    parts = [_hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, (i, 4)) for i in range(4)]
+    assert all(parts)
+    assert sum(map(Counter, parts), Counter()) == _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None) == {1: 1296}
 
 
 def counted_stream(cols, shard=None):

@@ -825,7 +825,12 @@ def test_kalai_census_oracle_agrees_with_the_matrix_tree_sum(n, d, total, capsys
 
 
 @pytest.mark.parametrize(
-    "argv", [["kalai-census", "--complete", "5", "2", "--oracle"], ["oracle", "--complete", "5", "2"]]
+    "argv",
+    [
+        ["kalai-census", "--complete", "5", "2", "--oracle"],
+        ["oracle", "--complete", "5", "2"],
+        ["volume", "--complete", "5", "2", "--oracle"],
+    ],
 )
 def test_matrix_tree_check_exits_4_on_a_wrong_census(argv, monkeypatch, capsys):
     monkeypatch.setattr(census, "_hypertree_histogram", lambda h, budget, shard: {1: 124})
@@ -835,3 +840,16 @@ def test_matrix_tree_check_exits_4_on_a_wrong_census(argv, monkeypatch, capsys):
     assert reports["kalai sum vs matrix-tree"] == {"quantity": "kalai sum vs matrix-tree", "theorem": "124",
                                                    "oracle": "125", "agreement": False}
     assert all(r["agreement"] for q, r in reports.items() if q != "kalai sum vs matrix-tree")
+
+
+def test_volume_oracle_reads_the_matrix_tree_check_off_its_one_census(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, census, "_hypertree_histogram")
+    code, out = run_cli(["volume", "--complete", "7", "4", "--oracle"], capsys)
+    assert code == 0 and len(calls) == 1
+    report = json.loads(out)
+    assert report["volume"] == report["kalai_sum"] == "16807"
+    assert report["oracle_reports"] == [
+        {"quantity": "kalai sum vs matrix-tree", "theorem": "16807", "oracle": "16807", "agreement": True}
+    ]
+    code, out = run_cli(["volume", "--complete", "7", "4"], capsys)
+    assert code == 0 and "kalai_sum" not in json.loads(out)
