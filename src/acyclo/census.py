@@ -8,8 +8,9 @@ one step of `exactalg.carry` to each later candidate, and a candidate that
 reduces to zero is dependent in the whole subtree, so it is dropped there.
 The last pivot equals (up to sign) the determinant of the pivot submatrix of
 the chosen columns; when it is +-1 the column lattice is saturated and the
-torsion order is 1 without a Smith-form call. `ehrhart` counts the same DFS
-by subtree (`_count_forests`) instead of listing its sets (`_forest_nodes`).
+torsion order is 1 without a Smith-form call. `ehrhart` and `volume` count
+the same DFS by subtree (`_count_forests`) instead of listing its sets
+(`_forest_nodes`), which the census and the hyperforest enumeration keep.
 
 The columns are the boundary columns restricted to the d-subsets that miss
 vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
@@ -39,11 +40,12 @@ from .exactalg import IntMatrix, _invariant_factors, carry, lead, pack, pack_wid
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-# Slots of `ehrhart`'s subtree table (`_count_forests`). A(6,2)'s DFS
-# carries 200811 times into only 7868 distinct states with candidates left.
-# 1024 slots hold about 0.5 MB there and cut its carries to 67890; keeping
-# every state (40486 carries) takes about 5 MB, and the table must stay
-# bounded on any input.
+# Slots of the subtree table of `_count_forests`, which `ehrhart` and
+# `volume` use. A(6,2)'s full DFS carries 200811 times into only 7868
+# distinct states with candidates left. 1024 slots hold about 0.5 MB there
+# and cut its carries to 67890 (43493 for its volume); keeping every state
+# (40486 carries) takes about 5 MB, and the table must stay bounded on any
+# input.
 COUNT_SLOTS = 1024
 # Slots of `_forest_nodes`'s replay table, and the most items one stores.
 REPLAY_SLOTS = 256
@@ -213,54 +215,69 @@ def _forest_nodes(
 
 
 def _count_forests(
-    cols, shard: Optional[Shard] = None
+    cols, shard: Optional[Shard] = None, exact_size: Optional[int] = None
 ) -> tuple[list[int], list[tuple[tuple[int, ...], int]]]:
-    """The `_forest_nodes(cols, shard=shard)` stream, counted: entry k of the
-    first result is the number of its k-edge sets whose last pivot is +-1;
-    the second lists the other, twisted, sets as (edges, pivot), in stream
-    order.
+    """The `_forest_nodes(cols, exact_size, shard)` stream, counted: entry k
+    of the first result is the number of its k-edge sets whose last pivot is
+    +-1; the second lists the other, twisted, sets as (edges, pivot), in
+    stream order. With exact_size set, a node's candidates stop where too
+    few are left to reach the size, a child whose candidates cannot reach it
+    is cut, and a node one edge short counts each candidate from its lead,
+    without a carry.
 
-    The subtree below a node depends only on the node's last pivot and live
-    candidates. So the counts of a subtree without twisted sets are kept in
-    a table of COUNT_SLOTS slots under that key, in the slot its hash
-    picks, overwriting what was there; a hit compares the whole key
-    (Haggard, Pearce and Royle, *Computing Tutte polynomials*, 2010, cache
-    a result per distinct minor the same way). A node's counts hold, at k,
-    its descendants with k more edges; a stack frame is a node above the
-    current one: (key, pivot, live, next candidate, counts, len(twisted)
-    on entry).
+    The subtree below a node depends only on the edges it still needs (0
+    without exact_size), its last pivot and live candidates. So the counts
+    of a subtree without twisted sets are kept in a table of COUNT_SLOTS
+    slots under that key, in the slot its hash picks, overwriting what was
+    there; a hit compares the whole key (Haggard, Pearce and Royle,
+    *Computing Tutte polynomials*, 2010, cache a result per distinct minor
+    the same way). A node's counts hold, at k, its descendants with k more
+    edges, or with exact_size set only one entry: those with the edges it
+    needs. A stack frame is a node above the current one: (key, pivot,
+    live, next candidate, counts, len(twisted) on entry).
     """
     b = pack_width(cols)
     half, mask = 1 << b - 1, (1 << b) - 1
     table = [None] * COUNT_SLOTS
     totals = [0] * (len(cols) + 1)
     twisted: list[tuple[tuple[int, ...], int]] = []
+    step = 1 if exact_size is None else 0  # where a child's counts land in its parent's
     for chosen, pivot, live in _prefix_states(cols, b, shard):
-        if pivot in (1, -1):
-            totals[len(chosen)] += 1
-        else:
-            twisted.append((tuple(chosen), pivot))
+        need = 0 if exact_size is None else exact_size - len(chosen)
+        if need < 0 or len(live) < need:
+            continue
+        if need == 0:
+            if pivot in (1, -1):
+                totals[len(chosen)] += 1
+            else:
+                twisted.append((tuple(chosen), pivot))
+            if exact_size is not None:
+                continue
         stack = []
-        key, i, mark, counts = (pivot, *live), 0, len(twisted), [0] * (len(live) + 1)
+        key, i, mark, counts = (need, pivot, *live), 0, len(twisted), [0] * (len(live) * step + 1)
         while True:
-            if i < len(live):
+            if i <= len(live) - (need or 1):
                 j, x = live[i]
                 i += 1
                 pv = lead(x, b)
-                if pv in (1, -1):
-                    counts[1] += 1
-                else:
-                    twisted.append(((*chosen, j), pv))
+                if need <= 1:
+                    if pv in (1, -1):
+                        counts[step] += 1
+                    else:
+                        twisted.append(((*chosen, j), pv))
+                    if need:
+                        continue
                 rest = carry(live[i:], x, pivot, pv, b, half, mask) if i < len(live) else ()
-                if not rest:
+                if not rest or len(rest) < need - 1:
                     continue
-                sub_key = (pv, *rest)
+                sub_key = (need and need - 1, pv, *rest)
                 entry = table[hash(sub_key) % len(table)]
                 if entry is None or entry[0] != sub_key:
                     stack.append((key, pivot, live, i, counts, mark))
                     chosen.append(j)
                     key, pivot, live, i, mark = sub_key, pv, rest, 0, len(twisted)
-                    counts = [0] * (len(live) + 1)
+                    need = key[0]
+                    counts = [0] * (len(live) * step + 1)
                     continue
                 sub = entry[1]
             else:
@@ -270,10 +287,11 @@ def _count_forests(
                     break
                 sub = counts
                 key, pivot, live, i, counts, mark = stack.pop()
+                need = key[0]
                 chosen.pop()
-            for k, c in enumerate(sub, 1):
+            for k, c in enumerate(sub, step):
                 counts[k] += c
-        for k, c in enumerate(counts, len(chosen)):
+        for k, c in enumerate(counts, len(chosen) + need):
             totals[k] += c
     return totals, twisted
 
@@ -290,17 +308,19 @@ def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
     return prod(filter(None, _invariant_factors(rows, len(rows), len(chosen))))
 
 
-def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
-    """Spanning hypertrees of h counted by torsion order, read off as the
-    absolute last pivot on the cone columns. For a co-rank k = E - m below m
-    it picks the k edges each misses, on the rows of a kernel Z-basis (the
-    Smith form's last k right-transform columns): an m x m minor is g times
-    the complementary k x k one up to sign, g the product of the nonzero
+def _hypertree_side(h: Hypergraph, budget: int):
+    """(columns, size, g) whose size-`size` independent sets are h's spanning
+    hypertrees, each of torsion order g times its absolute last pivot, or
+    None when h has none. The columns are the cone columns, m of them to a
+    set, unless the co-rank k = E - m is below m: then they pick the k edges
+    each hypertree misses, on the rows of a kernel Z-basis (the Smith form's
+    last k right-transform columns), where an m x m minor is g times the
+    complementary k x k one up to sign, g the product of the nonzero
     invariant factors (Bjorner et al., *Oriented Matroids*, 1999)."""
     m = cycle_space_dim(h.n, h.d)
     k = len(h.edges) - m
     if k < 0:
-        return {}
+        return None
     bound = comb(len(h.edges), m)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hypertree enumeration")
@@ -309,9 +329,19 @@ def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> 
         res = snf(IntMatrix.from_rows(list(zip(*cols)), cols=len(cols)))
         factors = [f for f in res.invariant_factors if f]
         if len(factors) < m:
-            return {}
+            return None
         cols, g = [res.right_transform.row(e)[m:] for e in range(len(cols))], prod(factors)
-    return Counter(g * abs(p) for _, p in _forest_nodes(cols, exact_size=min(k, m), shard=shard))
+    return cols, min(k, m), g
+
+
+def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
+    """Spanning hypertrees of h counted by torsion order, listed on
+    `_hypertree_side`'s columns."""
+    side = _hypertree_side(h, budget)
+    if side is None:
+        return {}
+    cols, size, g = side
+    return Counter(g * abs(p) for _, p in _forest_nodes(cols, exact_size=size, shard=shard))
 
 
 def enumerate_spanning_hyperforests(
@@ -346,8 +376,15 @@ def ehrhart(
 def volume(
     h: Hypergraph, budget: int = DEFAULT_SUBSET_BUDGET, shard: Optional[Shard] = None
 ) -> int:
-    """Normalized volume: total torsion over spanning hypertrees (0 if none)."""
-    return sum(order * count for order, count in _hypertree_histogram(h, budget, shard).items())
+    """Normalized volume: total torsion over spanning hypertrees (0 if none),
+    counted on `_hypertree_side`'s columns: a square set's |last pivot| is
+    its torsion order, so no Smith form is needed."""
+    side = _hypertree_side(h, budget)
+    if side is None:
+        return 0
+    cols, size, g = side
+    counts, twisted = _count_forests(cols, shard, exact_size=size)
+    return g * (counts[size] + sum(abs(p) for _, p in twisted))
 
 
 def lattice_point_count(

@@ -37,7 +37,7 @@ from acyclo.census import (
     shard_prefixes,
 )
 from acyclo.complexes import edge_columns
-from acyclo.exactalg import Echelon
+from acyclo.exactalg import Echelon, IntMatrix, snf
 from acyclo.oracle import matrix_tree_sum, torsion_rowreduce
 from conftest import RP2_TRIANGLES, random_connected_graph, random_hypergraph
 
@@ -400,11 +400,35 @@ def test_dual_side_shards_merge_to_the_whole_histogram():
     assert sum(map(Counter, parts), Counter()) == _hypertree_histogram(h, DEFAULT_SUBSET_BUDGET, None) == {1: 1296}
 
 
-def counted_stream(cols, shard=None):
+def test_volume_equals_the_census_weighted_volume():
+    # `volume` counts per DFS state and the census lists the hypertrees
+    rng = random.Random(2010)
+    primal = []
+    while len(primal) < 20:
+        n = rng.randint(5, 7)
+        m = cycle_space_dim(n, 1)
+        primal.append(random_hypergraph(rng, n, 1, rng.randint(2 * m, min(comb(n, 2), 2 * m + 4))))
+    twisted = 0
+    for h in dual_side_inputs() + primal:
+        report = hypertree_census(h)
+        assert volume(h) == report.weighted_volume
+        twisted += report.weighted_volume > report.hypertree_count
+    assert twisted >= 10
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (6, 1)])  # the dual side, then the primal one
+def test_volume_shards_sum_to_the_volume(n, d):
+    h = complete_hypergraph(n, d)
+    parts = [volume(h, shard=(i, 4)) for i in range(4)]
+    assert all(parts)
+    assert sum(parts) == volume(h) == 6**4
+
+
+def counted_stream(cols, shard=None, exact_size=None):
     """The `_forest_nodes` stream in the shape `_count_forests` returns."""
     counts = [0] * (len(cols) + 1)
     twisted = []
-    for chosen, pivot in _forest_nodes(cols, shard=shard):
+    for chosen, pivot in _forest_nodes(cols, exact_size=exact_size, shard=shard):
         if pivot in (1, -1):
             counts[len(chosen)] += 1
         else:
@@ -417,10 +441,35 @@ def test_forest_count_of_zero_dependent_and_twisted_columns(monkeypatch):
     cols = [(1, 1, 0), (1, -1, 0), (0, 0, 0), (2, 0, 1), (0, 1, 1), (1, 1, 0)]
     for slots in (1, 2, census.COUNT_SLOTS):
         monkeypatch.setattr(census, "COUNT_SLOTS", slots)
-        for shard in (None, (0, 2), (1, 2), (3, 4), (7, 8)):
-            assert _count_forests(cols, shard) == counted_stream(cols, shard)
+        for shard, exact_size in product((None, (0, 2), (1, 2), (3, 4), (7, 8)), (None, 0, 1, 2, 3, 4)):
+            assert _count_forests(cols, shard, exact_size) == counted_stream(cols, shard, exact_size)
     assert _count_forests(cols, (3, 4))[1][0] == ((0, 1), -2)
-    assert _count_forests([]) == ([1], [])
+    assert _count_forests([]) == _count_forests([], exact_size=0) == ([1], [])
+    assert _count_forests([], exact_size=1) == ([0], [])
+
+
+def dual_columns(h):
+    """Edge e's row of the last E - m columns of the Smith form's right
+    transform of the cone matrix, m = cycle_space_dim."""
+    cols, m = _cone_columns(h), cycle_space_dim(h.n, h.d)
+    res = snf(IntMatrix.from_rows(list(zip(*cols)), cols=len(cols)))
+    return [res.right_transform.row(e)[m:] for e in range(len(cols))]
+
+
+@pytest.mark.parametrize("slots", [1, 2, census.COUNT_SLOTS])
+@pytest.mark.parametrize("name", [*STREAM_INPUTS, "depth-twins"])
+def test_exact_size_counter_matches_the_stream(name, slots, monkeypatch):
+    if name == "depth-twins":
+        cases = [(DEPTH_TWINS, 3), (DEPTH_TWINS, 4)]
+    else:
+        h = STREAM_INPUTS[name]
+        m = cycle_space_dim(h.n, h.d)
+        cases = [(_cone_columns(h), m), (dual_columns(h), len(h.edges) - m)]
+    monkeypatch.setattr(census, "COUNT_SLOTS", slots)
+    for (cols, size), shard in product(cases, (None, (2, 3), (5, 8))):
+        want = counted_stream(cols, shard, exact_size=size)
+        assert _count_forests(cols, shard, exact_size=size) == want
+        assert want[0][size] or shard
 
 
 def test_forest_stream_of_zero_and_dependent_columns():
