@@ -1,16 +1,23 @@
 """Spanning hyperforest/hypertree enumeration and derived zonotope statistics.
 
-The enumerator walks edge subsets in lexicographic depth-first order, on an
-explicit stack. Each level keeps its remaining candidate columns reduced, by
-fraction-free (Bareiss) elimination, against the chosen ones, each packed
-into one int of signed digits (`exactalg.pack`): choosing a column applies
-one step of `exactalg.carry` to each later candidate, and a candidate that
-reduces to zero is dependent in the whole subtree, so it is dropped there.
+The enumerator walks edge subsets in lexicographic depth-first order of the
+columns it is given, on an explicit stack. Each level keeps its remaining
+candidate columns reduced, by fraction-free (Bareiss) elimination, against
+the chosen ones, each packed into one int of signed digits
+(`exactalg.pack`): choosing a column applies one step of `exactalg.carry` to
+each later candidate, and a candidate that reduces to zero is dependent in
+the whole subtree, so it is dropped there.
 The last pivot equals (up to sign) the determinant of the pivot submatrix of
 the chosen columns; when it is +-1 the column lattice is saturated and the
 torsion order is 1 without a Smith-form call. `ehrhart` and `volume` count
 the same DFS by subtree (`_count_forests`) instead of listing its sets
 (`_forest_nodes`), which the census and the hyperforest enumeration keep.
+
+How many distinct subtrees the DFS meets depends on the edge order. So
+`ehrhart`, `volume` and the census run on the columns in `_frontier_order`,
+which keeps few rows shared between the edges already decided and those
+still to come; `enumerate_spanning_hyperforests` keeps the input order, as
+its stream is lexicographic in the edges of h.
 
 The columns are the boundary columns restricted to the d-subsets that miss
 vertex 1 (Duval, Klivans and Martin, *Simplicial matrix-tree theorems*,
@@ -41,11 +48,11 @@ from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 # Slots of the subtree table of `_count_forests`, which `ehrhart` and
-# `volume` use. A(6,2)'s full DFS carries 200811 times into only 7868
-# distinct states with candidates left. 1024 slots hold about 0.5 MB there
-# and cut its carries to 67890 (43493 for its volume); keeping every state
-# (40486 carries) takes about 5 MB, and the table must stay bounded on any
-# input.
+# `volume` use. A(6,2)'s full DFS in `_frontier_order` carries 200812 times
+# into only 3077 distinct states with candidates left (7868 in the order of
+# its edges). 1024 slots cut its carries to 30129 (24295 for its volume), at
+# a tracemalloc peak of about 0.7 MB; keeping every state would leave 15972
+# carries, but the table must stay bounded on any input.
 COUNT_SLOTS = 1024
 # Slots of `_forest_nodes`'s replay table, and the most items one stores.
 REPLAY_SLOTS = 256
@@ -303,6 +310,31 @@ def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
     return tuple(c[-rows:] for c in edge_columns(h))
 
 
+def _frontier_order(cols) -> list[int]:
+    """A permutation of the column indices that keeps the DFS's frontier
+    small: it repeatedly takes the column that opens the fewest rows net, its
+    support rows no taken column touches minus those no other untaken column
+    touches (which it closes), ties to the lower index (Kawahara, Inoue,
+    Iwashita and Minato, *Frontier-based search for enumerating all
+    constrained subgraphs with compressed representation*, IEICE Trans.,
+    2017)."""
+    supports = [{r for r, v in enumerate(c) if v} for c in cols]
+    touching = Counter(r for rows in supports for r in rows)
+    opened: set[int] = set()
+
+    def net_opened(j: int) -> int:
+        return len(supports[j] - opened) - sum(touching[r] == 1 for r in supports[j])
+
+    left, order = list(range(len(cols))), []
+    while left:
+        j = min(left, key=net_opened)  # the first of the least, so the lowest index
+        left.remove(j)
+        order.append(j)
+        opened |= supports[j]
+        touching.subtract(supports[j])
+    return order
+
+
 def _torsion_of(cols, chosen: tuple[int, ...]) -> int:
     rows = [[cols[j][r] for j in chosen] for r in range(len(cols[0]))]
     return prod(filter(None, _invariant_factors(rows, len(rows), len(chosen))))
@@ -316,7 +348,9 @@ def _hypertree_side(h: Hypergraph, budget: int):
     each hypertree misses, on the rows of a kernel Z-basis (the Smith form's
     last k right-transform columns), where an m x m minor is g times the
     complementary k x k one up to sign, g the product of the nonzero
-    invariant factors (Bjorner et al., *Oriented Matroids*, 1999)."""
+    invariant factors (Bjorner et al., *Oriented Matroids*, 1999). Either
+    way they come in `_frontier_order`, so the edge indices of a set are
+    positions in that order."""
     m = cycle_space_dim(h.n, h.d)
     k = len(h.edges) - m
     if k < 0:
@@ -331,7 +365,7 @@ def _hypertree_side(h: Hypergraph, budget: int):
         if len(factors) < m:
             return None
         cols, g = [res.right_transform.row(e)[m:] for e in range(len(cols))], prod(factors)
-    return cols, min(k, m), g
+    return [cols[j] for j in _frontier_order(cols)], min(k, m), g
 
 
 def _hypertree_histogram(h: Hypergraph, budget: int, shard: Optional[Shard]) -> dict[int, int]:
@@ -359,12 +393,14 @@ def ehrhart(
 
     The coefficient of t**k is the sum of torsion orders over the k-edge
     spanning hyperforests: 1 for each set `_count_forests` counts, and a
-    Smith form for each set whose last pivot is not +-1.
+    Smith form for each set whose last pivot is not +-1. The counter runs
+    on the cone columns in `_frontier_order`, which the twisted sets index.
     """
     bound = 2 ** len(h.edges)
     if bound > budget:
         raise BudgetExceededError(bound, budget, "hyperforest enumeration")
     cols = _cone_columns(h)
+    cols = [cols[j] for j in _frontier_order(cols)]
     coeffs, twisted = _count_forests(cols, shard)
     for chosen, _ in twisted:
         coeffs[len(chosen)] += _torsion_of(cols, chosen)
