@@ -12,6 +12,9 @@ the chosen columns; when it is +-1 the column lattice is saturated and the
 torsion order is 1 without a Smith-form call. `ehrhart` and `volume` count
 the same DFS by subtree (`_count_forests`) instead of listing its sets
 (`_forest_nodes`), which the census and the hyperforest enumeration keep.
+Both start from `_prefix_states`, run on one frame (the last pivot, the
+live candidates and the edges still needed) and cache subtrees in tables of
+COUNT_SLOTS slots: counts in the one, the items to replay in the other.
 
 How many distinct subtrees the DFS meets depends on the edge order. So
 `ehrhart`, `volume` and the census run on the columns in `_frontier_order`,
@@ -47,16 +50,16 @@ from .exactalg import IntMatrix, _invariant_factors, carry, lead, pack, pack_wid
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-# Slots of the subtree table of `_count_forests`, which `ehrhart` and
-# `volume` use. A(6,2)'s full DFS in `_frontier_order` carries 200812 times
-# into only 3077 distinct states with candidates left (7868 in the order of
-# its edges). 1024 slots cut its carries to 30129 (24295 for its volume), at
-# a tracemalloc peak of about 0.7 MB; keeping every state would leave 15972
-# carries, but the table must stay bounded on any input.
+# Slots of the subtree tables of `_count_forests` (`ehrhart`, `volume`) and
+# of `_forest_nodes` (the census). A(6,2)'s full DFS in `_frontier_order`
+# carries 200812 times into only 3077 distinct states with candidates left
+# (7868 in the order of its edges). 1024 slots cut its carries to 30129
+# (24295 for its volume), at a tracemalloc peak of about 0.7 MB, and its
+# census's from 98604 to 27276 (39293 at 256 slots), at a peak of about
+# 1.3 MB; keeping every state would leave 15972 carries for the Ehrhart sum,
+# but a table must stay bounded on any input.
 COUNT_SLOTS = 1024
-# Slots of `_forest_nodes`'s replay table, and the most items one stores.
-REPLAY_SLOTS = 256
-REPLAY_ITEMS = 32
+REPLAY_ITEMS = 32  # the most items one slot of `_forest_nodes`'s table stores
 
 Shard = tuple[int, int]  # (index, total)
 
@@ -124,14 +127,15 @@ def shard_prefixes(num_edges: int, shard: Shard) -> Iterator[tuple[bool, ...]]:
         yield tuple(bool(mask >> j & 1) for j in range(plen))
 
 
-def _prefix_states(cols, b: int, shard: Optional[Shard]):
+def _prefix_states(cols, b: int, shard: Optional[Shard], exact_size: Optional[int]):
     """The nodes a DFS starts from: for each of the shard's `shard_prefixes`
-    (one empty prefix without a shard) that heads an independent subset,
-    (its chosen edges, their last pivot, the live candidates after it)."""
-    half, mask = 1 << b - 1, (1 << b) - 1
+    (one empty prefix without a shard) that heads an independent subset
+    which can still reach exact_size, (its chosen edges, their last pivot,
+    the live candidates after it, the edges it still needs, 0 without
+    exact_size). The columns are packed once, at digit width b."""
+    packed = [(j, pack(c, b)) for j, c in enumerate(cols) if any(c)]
     for prefix in [()] if shard is None else shard_prefixes(len(cols), shard):
-        live = [(j, pack(c, b)) for j, c in enumerate(cols) if any(c)]
-        chosen, pivot = [], 1
+        chosen, pivot, live = [], 1, packed
         for j, included in enumerate(prefix):
             head = live[0] if live and live[0][0] == j else None
             live = live[1:] if head else live
@@ -140,9 +144,11 @@ def _prefix_states(cols, b: int, shard: Optional[Shard]):
                     break
                 chosen.append(j)
                 pv = lead(head[1], b)
-                live, pivot = carry(live, head[1], pivot, pv, b, half, mask), pv
+                live, pivot = carry(live, head[1], pivot, pv, b), pv
         else:
-            yield chosen, pivot, live
+            need = 0 if exact_size is None else exact_size - len(chosen)
+            if 0 <= need <= len(live):
+                yield chosen, pivot, live, need
 
 
 def _forest_nodes(
@@ -155,56 +161,52 @@ def _forest_nodes(
     only subsets that start with one of its `shard_prefixes` are visited, so
     shards partition the stream.
 
-    `live` holds the current node's candidates: (edge, packed column reduced
-    against the chosen ones) for each later edge independent of them, in
-    order; `i` is the next one to try. The stack holds those of the nodes
-    above, each with the key and trail mark of the node below it.
+    The frame is `_count_forests`' frame: `live` holds the current node's
+    candidates, (edge, packed column reduced against the chosen ones) for
+    each later edge independent of them, in order, `i` the next one to try,
+    `pivot` its last pivot and `need` the edges it still needs (0 without
+    exact_size). The stack holds the frames of the nodes above, each with
+    the key and trail mark of the node below it.
 
     A subtree's items depend only on its depth, last pivot and live
-    candidates: a node that needs two more edges and yields at most
-    REPLAY_ITEMS stores them, sliced off `trail`, under that key as
-    `_count_forests` does; a later equal child replays them after its prefix.
+    candidates: a node that needs at least two more edges (any node without
+    exact_size) and yields at most REPLAY_ITEMS stores them, sliced off
+    `trail`, under that key as `_count_forests` stores its counts; a later
+    equal child replays them after its prefix.
     """
     b = pack_width(cols)
-    half, mask = 1 << b - 1, (1 << b) - 1
-    floor = exact_size or 0  # the size every visited subtree must reach
-    top = len(cols) if exact_size is None else exact_size  # the largest size yielded
-    table = [None] * REPLAY_SLOTS
-    for chosen, pivot, live in _prefix_states(cols, b, shard):
-        values = [pivot]  # the last pivot of each node on the path, from the start node down
-        if exact_size is None or len(chosen) == exact_size:
+    table = [None] * COUNT_SLOTS
+    for chosen, pivot, live, need in _prefix_states(cols, b, shard, exact_size):
+        if not need:
             yield tuple(chosen), pivot
-        if exact_size is not None and len(chosen) >= exact_size:
-            live = []
+            if exact_size is not None:
+                continue
         stack = []
-        trail, base = [], 0  # the items since the dropped ones, how many were dropped
-        i, end = 0, len(live)
+        trail, base, i = [], 0, 0  # the items since the dropped ones, how many were dropped
         while True:
-            if i == end or len(chosen) + end - i < floor:
+            if i > len(live) - (need or 1):
                 if not stack:
                     break
-                live, i, key, mark = stack.pop()
+                live, i, pivot, need, key, mark = stack.pop()
                 if base + len(trail) - mark > REPLAY_ITEMS:  # as have the nodes above: drop them
                     base, trail = base + len(trail), []
                 elif key is not None:
                     table[hash(key) % len(table)] = (key, trail[mark - base :])
-                end = len(live)
-                values.pop()
                 chosen.pop()
                 continue
             j, x = live[i]
             i += 1
-            if len(chosen) + 1 == exact_size or i == end:
+            pv = lead(x, b)
+            if need == 1 or i == len(live):
                 # A leaf needs no reduced candidates, only its pivot. With
                 # exact_size set, the cut above lets a last candidate
                 # through only if it completes the size.
-                trail.append(item := ((*chosen, j), lead(x, b)))
+                trail.append(item := ((*chosen, j), pv))
                 yield item
                 continue
-            pv = lead(x, b)
-            rest = carry(live[i:], x, values[-1], pv, b, half, mask)
+            rest = carry(live[i:], x, pivot, pv, b)
             depth, key = len(chosen) + 1, None
-            if len(rest) > 1 and depth + 2 <= top:
+            if len(rest) > 1 and need != 2:
                 key = (depth, pv, *rest)
                 entry = table[hash(key) % len(table)]
                 if entry is not None and entry[0] == key:
@@ -212,13 +214,11 @@ def _forest_nodes(
                     yield from trail[len(trail) - len(entry[1]) :]
                     continue
             chosen.append(j)
-            stack.append((live, i, key, base + len(trail)))
-            live = rest
-            values.append(pv)
-            if exact_size is None:
+            stack.append((live, i, pivot, need, key, base + len(trail)))
+            live, i, pivot, need = rest, 0, pv, need and need - 1
+            if not need:
                 trail.append(item := (tuple(chosen), pv))
                 yield item
-            i, end = 0, len(live)
 
 
 def _count_forests(
@@ -244,15 +244,11 @@ def _count_forests(
     live, next candidate, counts, len(twisted) on entry).
     """
     b = pack_width(cols)
-    half, mask = 1 << b - 1, (1 << b) - 1
     table = [None] * COUNT_SLOTS
     totals = [0] * (len(cols) + 1)
     twisted: list[tuple[tuple[int, ...], int]] = []
     step = 1 if exact_size is None else 0  # where a child's counts land in its parent's
-    for chosen, pivot, live in _prefix_states(cols, b, shard):
-        need = 0 if exact_size is None else exact_size - len(chosen)
-        if need < 0 or len(live) < need:
-            continue
+    for chosen, pivot, live, need in _prefix_states(cols, b, shard, exact_size):
         if need == 0:
             if pivot in (1, -1):
                 totals[len(chosen)] += 1
@@ -274,7 +270,7 @@ def _count_forests(
                         twisted.append(((*chosen, j), pv))
                     if need:
                         continue
-                rest = carry(live[i:], x, pivot, pv, b, half, mask) if i < len(live) else ()
+                rest = carry(live[i:], x, pivot, pv, b) if i < len(live) else ()
                 if not rest or len(rest) < need - 1:
                     continue
                 sub_key = (need and need - 1, pv, *rest)

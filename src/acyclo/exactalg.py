@@ -249,13 +249,13 @@ def _invariant_factors(m: list[list[int]], rows: int, cols: int) -> list[int]:
     return [m[i][i] for i in range(min(rows, cols))]
 
 
-def bareiss_step(v: list[int], w: Sequence[int], s: int, p: int, prev: int) -> list[int]:
+def bareiss_step(v: list[int], w: Sequence[int], s: int, prev: int) -> list[int]:
     """One fraction-free (Bareiss) elimination step: v with its entry at s
-    cleared against the pivot row w, whose pivot w[s] is p, prev being the
+    cleared against the pivot row w, whose pivot is p = w[s], prev being the
     pivot of the step before (1 at the first). When v and w are rows of one
     elimination every division is exact. Returns v itself if it is unchanged.
     """
-    f = v[s]
+    f, p = v[s], w[s]
     if f:
         return [(p * a - f * b) // prev for a, b in zip(v, w)]
     if p == prev:
@@ -269,7 +269,7 @@ def bareiss_pivot(rows: list[list[int]], r: int, w: Sequence[int], s: int, prev:
     the rows with v[s] != 0 change, and only where w is nonzero."""
     p = w[s]
     if p != prev:
-        rows[:] = [v if i == r else bareiss_step(v, w, s, p, prev) for i, v in enumerate(rows)]
+        rows[:] = [v if i == r else bareiss_step(v, w, s, prev) for i, v in enumerate(rows)]
         return
     support = [(t, b) for t, b in enumerate(w) if b]
     for i, v in enumerate(rows):
@@ -308,7 +308,7 @@ class Echelon:
         v = list(vec)
         prev = 1
         for w, pp in zip(self.rows, self.pivots):
-            v = bareiss_step(v, w, pp, w[pp], prev)
+            v = bareiss_step(v, w, pp, prev)
             prev = w[pp]
         return v
 
@@ -384,11 +384,12 @@ def lead(x: int, b: int) -> int:
     return ((x >> ((x & -x).bit_length() - 1) // b * b) + half & (1 << b) - 1) - half
 
 
-def carry(pending, w, prev, pv, b, half, mask):
+def carry(pending, w, prev, pv, b):
     """Choose packed column w, pivot pv, after a pivot prev: the pending
     candidates after w's Bareiss step, in order, without those that reduce
-    to zero. half and mask are 2**(b-1) and 2**b - 1, and coef is a
-    candidate's centred digit at w's pivot (`digit`)."""
+    to zero. b is the digit width (`pack`), and coef a candidate's centred
+    digit at w's pivot (`digit`)."""
+    half, mask = 1 << b - 1, (1 << b) - 1
     shift = ((w & -w).bit_length() - 1) // b * b
     low = half * ((1 << shift + b) - 1) // mask  # half in digits 0..pivot
     out = []

@@ -183,7 +183,7 @@ def _signed_circuits(h: Hypergraph) -> list[list[tuple[int, int]]]:
         i += 1
         if x & (1 << low) - 1:  # independent of the chosen edges
             pv = lead(x, b)
-            rest = carry(live[i:], x, pivot, pv, b, half, mask)
+            rest = carry(live[i:], x, pivot, pv, b)
             if _coloop_free(rest, chosen | 1 << e, pv, low, b, bias):
                 stack.append((chosen, pivot, live, i))
                 chosen, pivot, live, i = chosen | 1 << e, pv, rest, 0
@@ -212,14 +212,13 @@ def _coloop_free(cands, chosen: int, pivot: int, low: int, b: int, bias: int) ->
     (reduced against them, last pivot `pivot`) uses each chosen edge, as a
     circuit holding them all needs: eliminating the candidates among
     themselves leaves dependents whose tags span those dependencies."""
-    half, mask, column = 1 << b - 1, (1 << b) - 1, (1 << low) - 1
-    i = 0
+    column, i = (1 << low) - 1, 0
     while chosen and i < len(cands):  # chosen: the edges no dependent uses yet
         x = cands[i][1]
         i += 1
         if x & column:
             pv = lead(x, b)
-            cands, pivot, i = carry(cands[i:], x, pivot, pv, b, half, mask), pv, 0
+            cands, pivot, i = carry(cands[i:], x, pivot, pv, b), pv, 0
         else:
             chosen &= ~_tag_support(x, low, b, bias)
     return not chosen

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -331,7 +332,7 @@ def test_forest_stream_with_a_tiny_replay_table(name, exact, monkeypatch):
     for shard in (None, (2, 3), (5, 8)):
         want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
         for slots, items in product((1, 2), (1, 3)):
-            monkeypatch.setattr(census, "REPLAY_SLOTS", slots)
+            monkeypatch.setattr(census, "COUNT_SLOTS", slots)
             monkeypatch.setattr(census, "REPLAY_ITEMS", items)
             assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
 
@@ -425,11 +426,12 @@ def test_volume_shards_sum_to_the_volume(n, d):
     assert sum(parts) == volume(h) == 6**4
 
 
-def counted_stream(cols, shard=None, exact_size=None):
-    """The `_forest_nodes` stream in the shape `_count_forests` returns."""
-    counts = [0] * (len(cols) + 1)
+def counted(nodes, num_cols):
+    """A stream of (edges, last pivot) in the shape `_count_forests`
+    returns, for num_cols columns."""
+    counts = [0] * (num_cols + 1)
     twisted = []
-    for chosen, pivot in _forest_nodes(cols, exact_size=exact_size, shard=shard):
+    for chosen, pivot in nodes:
         if pivot in (1, -1):
             counts[len(chosen)] += 1
         else:
@@ -437,9 +439,31 @@ def counted_stream(cols, shard=None, exact_size=None):
     return counts, twisted
 
 
+def counted_stream(cols, shard=None, exact_size=None):
+    """The `_forest_nodes` stream in the shape `_count_forests` returns."""
+    return counted(_forest_nodes(cols, exact_size=exact_size, shard=shard), len(cols))
+
+
+# rank 3: the prefixes of (3, 4) and (7, 8) choose edges 0 and 1, whose last
+# pivot is -2, and (7, 8)'s also the zero edge 2
+ZERO_DEPENDENT_TWISTED = [(1, 1, 0), (1, -1, 0), (0, 0, 0), (2, 0, 1), (0, 1, 1), (1, 1, 0)]
+
+
+@pytest.mark.parametrize("cols, rank", [(ZERO_DEPENDENT_TWISTED, 3), (DEPTH_TWINS, 4)])
+def test_both_dfss_start_where_the_reference_starts(cols, rank):
+    # `_prefix_states` is the one start walk of both DFSs, so they are
+    # checked against the independent recursion, not against each other:
+    # every size from 0 to one past the rank, and none; on the first
+    # columns (3, 4) starts at a twisted pair and (7, 8) at no node, its
+    # prefix holding the zero column
+    for shard, exact_size in product((None, (0, 2), (1, 2), (3, 4), (7, 8)), (None, *range(rank + 2))):
+        want = reference_forest_nodes(cols, exact_size=exact_size, shard=shard)
+        assert list(_forest_nodes(cols, exact_size=exact_size, shard=shard)) == want
+        assert _count_forests(cols, shard, exact_size) == counted(want, len(cols))
+
+
 def test_forest_count_of_zero_dependent_and_twisted_columns(monkeypatch):
-    # the prefixes of (3, 4) and (7, 8) choose edges 0 and 1, whose last pivot is -2
-    cols = [(1, 1, 0), (1, -1, 0), (0, 0, 0), (2, 0, 1), (0, 1, 1), (1, 1, 0)]
+    cols = ZERO_DEPENDENT_TWISTED
     for slots in (1, 2, census.COUNT_SLOTS):
         monkeypatch.setattr(census, "COUNT_SLOTS", slots)
         for shard, exact_size in product((None, (0, 2), (1, 2), (3, 4), (7, 8)), (None, 0, 1, 2, 3, 4)):
@@ -728,4 +752,22 @@ def test_a62_carry_counts_stay_under_the_frontier_bounds(k62, monkeypatch):
     assert len(calls) <= 35000
     calls.clear()
     assert volume(k62) == 46632
+    assert len(calls) <= 30000
+
+
+def test_a62_census_stays_under_the_shared_table_bounds(k62, monkeypatch):
+    # the listing's replay table has COUNT_SLOTS slots, as the counter's:
+    # 27276 carries (39293 at 256 slots) at a tracemalloc peak near 0.9 MB
+    tracemalloc.start()
+    try:
+        report = hypertree_census(k62)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.torsion_histogram == {1: 46608, 2: 12}
+    assert peak < 2 << 20
+    calls = []
+    carry = census.carry
+    monkeypatch.setattr(census, "carry", lambda *args: calls.append(1) or carry(*args))
+    assert hypertree_census(k62) == report
     assert len(calls) <= 30000
