@@ -9,12 +9,12 @@ each later candidate, and a candidate that reduces to zero is dependent in
 the whole subtree, so it is dropped there.
 The last pivot equals (up to sign) the determinant of the pivot submatrix of
 the chosen columns; when it is +-1 the column lattice is saturated and the
-torsion order is 1 without a Smith-form call. `ehrhart` and `volume` count
-the same DFS by subtree (`_count_forests`) instead of listing its sets
-(`_forest_nodes`), which the census and the hyperforest enumeration keep.
-Both start from `_prefix_states`, run on one frame (the last pivot, the
-live candidates and the edges still needed) and cache subtrees in tables of
-COUNT_SLOTS slots: counts in the one, the items to replay in the other.
+torsion order is 1 without a Smith-form call. One DFS, `_forest_nodes`,
+serves every caller: the census and the hyperforest enumeration list its
+sets, while `ehrhart` and `volume`, through `_count_forests`, have it count
+the sets whose last pivot is +-1 and list only the others. It starts from
+`_prefix_states` and caches each subtree in one table of COUNT_SLOTS slots:
+what the subtree counted and, to replay, the edges of the sets it listed.
 
 How many distinct subtrees the DFS meets depends on the edge order. So
 `ehrhart`, `volume` and the census run on the columns in `_frontier_order`,
@@ -46,20 +46,20 @@ from .complexes import (
     edge_columns,
 )
 from .errors import BudgetExceededError
-from .exactalg import IntMatrix, _invariant_factors, carry, lead, pack, pack_width, snf
+from .exactalg import IntMatrix, _invariant_factors, carry, lead, pack, pack_width, snf, unpack
 from .homology import SubcomplexSelection
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-# Slots of the subtree tables of `_count_forests` (`ehrhart`, `volume`) and
-# of `_forest_nodes` (the census). A(6,2)'s full DFS in `_frontier_order`
-# carries 200812 times into only 3077 distinct states with candidates left
-# (7868 in the order of its edges). 1024 slots cut its carries to 30129
-# (24295 for its volume), at a tracemalloc peak of about 0.7 MB, and its
-# census's from 98604 to 27276 (39293 at 256 slots), at a peak of about
-# 1.3 MB; keeping every state would leave 15972 carries for the Ehrhart sum,
-# but a table must stay bounded on any input.
+# Slots of `_forest_nodes`'s subtree table, the one table of the census,
+# `ehrhart` and `volume`. A(6,2)'s full DFS in `_frontier_order` carries
+# 200812 times into only 3077 distinct states with candidates left (7868 in
+# the order of its edges). 1024 slots cut its carries to 29708 for the
+# Ehrhart sum, 23841 for the volume and 26957 for the census (98604 without
+# a table), at tracemalloc peaks of about 0.45, 0.44 and 0.74 MB; keeping
+# every state would leave about 16000 carries for the Ehrhart sum, but a
+# table must stay bounded on any input.
 COUNT_SLOTS = 1024
-REPLAY_ITEMS = 32  # the most items one slot of `_forest_nodes`'s table stores
+REPLAY_ITEMS = 32  # the most items a slot stores to replay
 
 Shard = tuple[int, int]  # (index, total)
 
@@ -152,33 +152,51 @@ def _prefix_states(cols, b: int, shard: Optional[Shard], exact_size: Optional[in
 
 
 def _forest_nodes(
-    cols, exact_size: Optional[int] = None, shard: Optional[Shard] = None
+    cols,
+    exact_size: Optional[int] = None,
+    shard: Optional[Shard] = None,
+    counts: Optional[list[int]] = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (edge indices, last Bareiss pivot) for independent subsets.
 
     Preorder lexicographic DFS; with exact_size set, only subsets of that
-    size are yielded and subtrees that cannot reach it are cut. With a shard,
-    only subsets that start with one of its `shard_prefixes` are visited, so
-    shards partition the stream.
+    size are yielded: a node's candidates stop where too few are left to
+    reach it, and a child whose candidates cannot reach it is cut. With a
+    shard, only subsets that start with one of its `shard_prefixes` are
+    visited, so shards partition the stream. With counts, a list of
+    len(cols) + 1 ints, a set whose last pivot is +-1 is counted instead of
+    yielded, and added to counts at its size when the stream ends.
 
-    The frame is `_count_forests`' frame: `live` holds the current node's
-    candidates, (edge, packed column reduced against the chosen ones) for
-    each later edge independent of them, in order, `i` the next one to try,
-    `pivot` its last pivot and `need` the edges it still needs (0 without
-    exact_size). The stack holds the frames of the nodes above, each with
-    the key and trail mark of the node below it.
+    The frame: `live` holds the current node's candidates, (edge, packed
+    column reduced against the chosen ones) for each later edge independent
+    of them, in order, `i` the next one to try, `pivot` its last pivot and
+    `need` the edges it still needs (0 without exact_size). The stack holds
+    the frames of the nodes above, each with the key, trail mark and `total`
+    on entry of the node below it. `total` packs the counted sets one digit
+    per size (`exactalg.pack`), so a subtree's counts are a difference.
 
-    A subtree's items depend only on its depth, last pivot and live
-    candidates: a node that needs at least two more edges (any node without
-    exact_size) and yields at most REPLAY_ITEMS stores them, sliced off
-    `trail`, under that key as `_count_forests` stores its counts; a later
-    equal child replays them after its prefix.
+    The sets below a node depend only on its need, last pivot and live
+    candidates, after the node's own edges. So a node with two or more
+    candidates that needs other than exactly one more edge (below the
+    others each set costs a lead and no carry) stores, under that key, in
+    the slot of a table of COUNT_SLOTS slots its hash picks, overwriting
+    what was there, what it counted and, if it yielded at most
+    REPLAY_ITEMS items, their edges after its own; a later equal child adds
+    the one and replays the other after its own edges (Haggard, Pearce and
+    Royle, *Computing Tutte polynomials*, 2010, cache a result per distinct
+    minor the same way).
     """
     b = pack_width(cols)
     table = [None] * COUNT_SLOTS
+    units = () if counts is None else (1, -1)  # the pivots that are counted
+    w = len(cols) + 2  # a digit per size holds up to 2**len(cols) sets (`pack`)
+    total = 0  # the counted sets, packed by size
     for chosen, pivot, live, need in _prefix_states(cols, b, shard, exact_size):
         if not need:
-            yield tuple(chosen), pivot
+            if pivot in units:
+                total += 1 << w * len(chosen)
+            else:
+                yield tuple(chosen), pivot
             if exact_size is not None:
                 continue
         stack = []
@@ -187,38 +205,45 @@ def _forest_nodes(
             if i > len(live) - (need or 1):
                 if not stack:
                     break
-                live, i, pivot, need, key, mark = stack.pop()
+                live, i, pivot, need, key, mark, entered = stack.pop()
                 if base + len(trail) - mark > REPLAY_ITEMS:  # as have the nodes above: drop them
                     base, trail = base + len(trail), []
                 elif key is not None:
-                    table[hash(key) % len(table)] = (key, trail[mark - base :])
+                    depth, items = len(chosen), trail[mark - base :]
+                    items = items and [(e[depth:], p) for e, p in items]
+                    table[hash(key) % len(table)] = (key, items, total - entered >> w * depth)
                 chosen.pop()
                 continue
             j, x = live[i]
             i += 1
             pv = lead(x, b)
-            if need == 1 or i == len(live):
-                # A leaf needs no reduced candidates, only its pivot. With
-                # exact_size set, the cut above lets a last candidate
-                # through only if it completes the size.
-                trail.append(item := ((*chosen, j), pv))
-                yield item
-                continue
+            if need <= 1:
+                if pv in units:
+                    total += 1 << w * (len(chosen) + 1)
+                else:
+                    trail.append(item := ((*chosen, j), pv))
+                    yield item
+                if need or i == len(live):  # a leaf needs no reduced candidates
+                    continue
             rest = carry(live[i:], x, pivot, pv, b)
-            depth, key = len(chosen) + 1, None
-            if len(rest) > 1 and need != 2:
-                key = (depth, pv, *rest)
+            if not rest or len(rest) < need - 1:
+                continue
+            key = None
+            if need != 2 and len(rest) > 1:
+                key = (need and need - 1, pv, *rest)
                 entry = table[hash(key) % len(table)]
                 if entry is not None and entry[0] == key:
-                    trail += [((*chosen, j, *e[depth:]), p) for e, p in entry[1]]
-                    yield from trail[len(trail) - len(entry[1]) :]
+                    total += entry[2] << w * (len(chosen) + 1)
+                    if entry[1]:
+                        trail += [((*chosen, j, *e), p) for e, p in entry[1]]
+                        yield from trail[len(trail) - len(entry[1]) :]
                     continue
             chosen.append(j)
-            stack.append((live, i, pivot, need, key, base + len(trail)))
+            stack.append((live, i, pivot, need, key, base + len(trail), total))
             live, i, pivot, need = rest, 0, pv, need and need - 1
-            if not need:
-                trail.append(item := (tuple(chosen), pv))
-                yield item
+    if counts is not None:
+        for k, c in enumerate(unpack(total, w, len(counts))):
+            counts[k] += c
 
 
 def _count_forests(
@@ -227,76 +252,10 @@ def _count_forests(
     """The `_forest_nodes(cols, exact_size, shard)` stream, counted: entry k
     of the first result is the number of its k-edge sets whose last pivot is
     +-1; the second lists the other, twisted, sets as (edges, pivot), in
-    stream order. With exact_size set, a node's candidates stop where too
-    few are left to reach the size, a child whose candidates cannot reach it
-    is cut, and a node one edge short counts each candidate from its lead,
-    without a carry.
-
-    The subtree below a node depends only on the edges it still needs (0
-    without exact_size), its last pivot and live candidates. So the counts
-    of a subtree without twisted sets are kept in a table of COUNT_SLOTS
-    slots under that key, in the slot its hash picks, overwriting what was
-    there; a hit compares the whole key (Haggard, Pearce and Royle,
-    *Computing Tutte polynomials*, 2010, cache a result per distinct minor
-    the same way). A node's counts hold, at k, its descendants with k more
-    edges, or with exact_size set only one entry: those with the edges it
-    needs. A stack frame is a node above the current one: (key, pivot,
-    live, next candidate, counts, len(twisted) on entry).
-    """
-    b = pack_width(cols)
-    table = [None] * COUNT_SLOTS
-    totals = [0] * (len(cols) + 1)
-    twisted: list[tuple[tuple[int, ...], int]] = []
-    step = 1 if exact_size is None else 0  # where a child's counts land in its parent's
-    for chosen, pivot, live, need in _prefix_states(cols, b, shard, exact_size):
-        if need == 0:
-            if pivot in (1, -1):
-                totals[len(chosen)] += 1
-            else:
-                twisted.append((tuple(chosen), pivot))
-            if exact_size is not None:
-                continue
-        stack = []
-        key, i, mark, counts = (need, pivot, *live), 0, len(twisted), [0] * (len(live) * step + 1)
-        while True:
-            if i <= len(live) - (need or 1):
-                j, x = live[i]
-                i += 1
-                pv = lead(x, b)
-                if need <= 1:
-                    if pv in (1, -1):
-                        counts[step] += 1
-                    else:
-                        twisted.append(((*chosen, j), pv))
-                    if need:
-                        continue
-                rest = carry(live[i:], x, pivot, pv, b) if i < len(live) else ()
-                if not rest or len(rest) < need - 1:
-                    continue
-                sub_key = (need and need - 1, pv, *rest)
-                entry = table[hash(sub_key) % len(table)]
-                if entry is None or entry[0] != sub_key:
-                    stack.append((key, pivot, live, i, counts, mark))
-                    chosen.append(j)
-                    key, pivot, live, i, mark = sub_key, pv, rest, 0, len(twisted)
-                    need = key[0]
-                    counts = [0] * (len(live) * step + 1)
-                    continue
-                sub = entry[1]
-            else:
-                if len(twisted) == mark:
-                    table[hash(key) % len(table)] = (key, counts)
-                if not stack:
-                    break
-                sub = counts
-                key, pivot, live, i, counts, mark = stack.pop()
-                need = key[0]
-                chosen.pop()
-            for k, c in enumerate(sub, step):
-                counts[k] += c
-        for k, c in enumerate(counts, len(chosen) + need):
-            totals[k] += c
-    return totals, twisted
+    stream order."""
+    counts = [0] * (len(cols) + 1)
+    twisted = list(_forest_nodes(cols, exact_size, shard, counts))
+    return counts, twisted
 
 
 def _cone_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
