@@ -8,8 +8,8 @@ elimination kernel, `Echelon`, on which rank, primitive integer kernels, the
 support rows of `faces` and the equalities of `ratlp` all run. `bareiss_step`
 is its one elimination step, which `bareiss_pivot` applies to the rows of
 `ratlp`'s integer simplex tableau too, and `lift` its one back-substitution
-step, shared with Fourier-Motzkin. The Smith form keeps its own elimination,
-so that it can check `rank` independently. `pack`, `digit`, `unpack` and
+step, shared with `ratlp`'s one-variable solver. The Smith form keeps its
+own elimination, so that it can check `rank` independently. `pack`, `digit`, `unpack` and
 `lead` keep an integer vector as one Python int of signed base-2**b digits,
 `pack_width` choosing b from the Hadamard bound of the vectors so that every
 Bareiss minor of them fits a digit, and `carry` is the Bareiss step on such

@@ -128,19 +128,6 @@ def _support_rows(h: Hypergraph):
     return support, restricted, lp_rows
 
 
-def _solve_on_support(h: Hypergraph, signs: Sequence[int]) -> Optional[tuple[list[int], int]]:
-    """Values on the support rows of a cochain realizing the signs on the
-    first len(signs) edges, as integers X over D > 0, or None.
-
-    Zero signs become exact equalities; nonzero signs become homogenized
-    strict inequalities ">= 1". Later edges are unconstrained.
-    """
-    support, _, lp_rows = _support_rows(h)
-    eqs = [lp_rows[j][0] for j, s in enumerate(signs) if s == 0]
-    ges = [lp_rows[j][s] for j, s in enumerate(signs) if s]
-    return solve_feasibility(len(support), eqs, ges)
-
-
 def _embed(h: Hypergraph, values: Sequence[int]) -> tuple[int, ...]:
     """Integer cochain on all (d-1)-subsets that is values on the support rows
     and zero off them; primitive when values is."""
@@ -255,11 +242,18 @@ def _extends(plus: int, minus: int, ending: Sequence[tuple[int, int]]) -> tuple[
 
 def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[int, ...]]:
     """Primitive integer cochain whose coboundary has exactly sigma's signs,
-    or None: the LP's realizing X / D, scaled by D > 0 and made primitive,
-    which keeps the signs of a homogeneous system."""
+    or None: the LP's realizing X / D on the support rows, scaled by D > 0
+    and made primitive, which keeps the signs of a homogeneous system.
+
+    Zero signs become exact equalities; nonzero signs become homogenized
+    strict inequalities ">= 1".
+    """
     if len(sigma.values) != len(h.edges):
         raise ValueError(f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}")
-    point = _solve_on_support(h, sigma.values)
+    support, _, lp_rows = _support_rows(h)
+    eqs = [lp_rows[j][0] for j, s in enumerate(sigma.values) if s == 0]
+    ges = [lp_rows[j][s] for j, s in enumerate(sigma.values) if s]
+    point = solve_feasibility(len(support), eqs, ges)
     return None if point is None else _embed(h, primitive(point[0]))
 
 
@@ -405,14 +399,14 @@ def face_lattice(h: Hypergraph, budget: int = DEFAULT_PATTERN_BUDGET) -> FaceLat
     in_plus, in_minus = [0] * num_edges, [0] * num_edges
     for signs, dimension in records:
         if dimension == facet_dimension:
-            point = _solve_on_support(h, signs)
-            if point is None:
+            normal = validity_check(h, SignPattern(signs))
+            if normal is None:
                 raise RuntimeError(f"no cochain realizes the facet {signs}, which every signed circuit admits")
             bit = 1 << len(normals)
             for j, s in enumerate(signs):
                 if s:
                     (in_plus if s > 0 else in_minus)[j] |= bit
-            normals.append(_embed(h, primitive(point[0])))
+            normals.append(normal)
     # Each normal as one int of signed digits, wide enough for any sum of them.
     ambient, every = comb(h.n, h.d), (1 << len(normals)) - 1
     b = (max((abs(x) for v in normals for x in v), default=0) * len(normals)).bit_length() + 1

@@ -6,26 +6,24 @@ inequality. Callers encode open conditions ("> 0") as ">= 1" rows; for the
 homogeneous systems built here that homogenization is sound and complete.
 Equalities are eliminated first: they go into an `exactalg.Echelon`
 (fraction-free Bareiss elimination) as they are, and each inequality is
-reduced against it, leaving the free variables only. The remaining system is
-decided by Fourier-Motzkin elimination when it has at most
-`FM_VARIABLE_LIMIT` variables, and by a phase-one simplex (Bland's rule)
-above that. The simplex pivots on integers: its tableau is an integer matrix
-over one common denominator that stores neither the w = -u half of the split
-variables nor the artificial columns, and each pivot is
-`exactalg.bareiss_pivot`, the step `Echelon` uses on every other row, sparse
-when the pivot equals the denominator. Both paths produce an exact point as
-integers over one common denominator, back-substitution through the echelon
-fills in the pivot variables, and `solve_feasibility` returns it so.
+reduced against it, leaving the free variables only. A remaining system in
+one free variable is decided by comparing its bounds (`_fourier_motzkin`,
+the one-variable case of Fourier-Motzkin elimination), and any larger one
+by a phase-one simplex (Bland's rule). The simplex pivots on integers: its
+tableau is an integer matrix over one common denominator that stores
+neither the w = -u half of the split variables nor the artificial columns,
+and each pivot is `exactalg.bareiss_pivot`, the step `Echelon` uses on
+every other row, sparse when the pivot equals the denominator. Both paths
+produce an exact point as integers over one common denominator,
+back-substitution through the echelon fills in the pivot variables, and
+`solve_feasibility` returns it so.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import Echelon, bareiss_pivot, lift, primitive
-
-FM_VARIABLE_LIMIT = 12
 
 _Row = tuple[int, ...]  # coefficients then rhs, read as coeffs . x >= rhs
 
@@ -61,8 +59,8 @@ def solve_feasibility(
 
     if not reduced:
         point: Optional[tuple[list[int], int]] = ([0] * k, 1)
-    elif k <= FM_VARIABLE_LIMIT:
-        point = _fourier_motzkin(k, reduced)
+    elif k == 1:
+        point = _fourier_motzkin(reduced)
     else:
         point = _phase_one_simplex(k, reduced)
     if point is None:
@@ -77,51 +75,21 @@ def solve_feasibility(
     return x[:n_vars], den
 
 
-def _fourier_motzkin(k: int, rows: list[_Row]) -> Optional[tuple[list[int], int]]:
-    """A point of the rows as integers X over one denominator D > 0, x = X / D,
-    or None. Each step eliminates the remaining variable with the fewest
-    pos * neg combinations, the first in index order on a tie."""
-    active: set[_Row] = set(rows)
-    remaining = list(range(k))
-    stack: list[tuple[int, list[_Row], list[_Row]]] = []
-    while remaining:
-        # eliminated variables are zero in every active row; slot k counts the rhs
-        pos, neg = [0] * (k + 1), [0] * (k + 1)
-        for r in active:
-            for j, c in enumerate(r):
-                if c:
-                    (pos if c > 0 else neg)[j] += 1
-        v = min(remaining, key=lambda j: pos[j] * neg[j])
-        pos_rows, neg_rows, zero_rows = [], [], []
-        for r in active:
-            c = r[v]
-            (pos_rows if c > 0 else neg_rows if c < 0 else zero_rows).append(r)
-        active = set(zero_rows)
-        stack.append((v, pos_rows, neg_rows))
-        for rp in pos_rows:
-            a = rp[v]
-            for rn in neg_rows:
-                e = -rn[v]
-                combo = primitive([e * p + a * n for p, n in zip(rp, rn)])
-                if any(combo[:k]):
-                    active.add(combo)
-                elif combo[k] > 0:
-                    return None
-        remaining.remove(v)
-
-    # v takes its largest lower bound if it has one, else its least upper
-    # bound, else 0. Bound num / (dv * D), dv > 0, is compared by
-    # cross-multiplying; D grows when dv does not divide num.
-    x, den = [0] * k, 1
-    for v, pos_rows, neg_rows in reversed(stack):
-        sign, best = (1 if pos_rows else -1), None
-        for row in pos_rows or neg_rows:
-            num, dv = sign * (row[k] * den - sum(map(mul, row, x))), sign * row[v]
-            if best is None or sign * (num * best[1] - best[0] * dv) > 0:
-                best = num, dv
-        if best is not None:
-            x, den = lift(x, den, v, *best)
-    return x, den
+def _fourier_motzkin(rows: list[_Row]) -> Optional[tuple[list[int], int]]:
+    """A point of one-variable rows a.x >= b, a != 0, as ([X], D), x = X / D,
+    or None: the largest lower bound b / a (a > 0) if there is one, else the
+    least upper bound (a < 0). Bounds compare by cross-multiplying."""
+    low = up = None  # (a, b) of the largest lower and the least upper bound
+    for a, b in rows:
+        if a > 0:
+            if low is None or b * low[0] > low[1] * a:
+                low = a, b
+        elif up is None or b * up[0] < up[1] * a:
+            up = a, b
+    if low and up and low[1] * up[0] < up[1] * low[0]:
+        return None
+    a, b = low or up
+    return lift([0], 1, 0, b, a)
 
 
 def _phase_one_simplex(k: int, rows: list[_Row]) -> Optional[tuple[list[int], int]]:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import signal
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,7 @@ from acyclo.census import shard_prefixes
 from acyclo.cli import main
 from acyclo.complexes import edge_columns
 from acyclo.errors import BudgetExceededError
-from acyclo.exactalg import pack, primitive
+from acyclo.exactalg import lift, pack, primitive
 from acyclo.ratlp import solve_feasibility
 
 from conftest import RP2_TRIANGLES
@@ -421,7 +423,7 @@ def test_validity_on_k62(k62):
 
 
 def test_simplex_path_on_k72():
-    # rank 15 cochain variables: above the Fourier-Motzkin limit, so these
+    # rank 15 cochain variables: more than one free variable, so these
     # route through the exact phase-one simplex
     h7 = complete_hypergraph(7, 2)
     valid = partition_pattern(7, 2, ((1, 2, 3), (4, 5), (6, 7)))
@@ -457,7 +459,7 @@ def _cyclic_signs(rng, h):
 
 @pytest.mark.parametrize("n, d", [(7, 2), (7, 3)], ids=["A(7,2)-rank-15", "A(7,3)-rank-20"])
 def test_tournament_check_above_fm_limit(n, d, capsys, monkeypatch):
-    # every LP here has more free variables than the Fourier-Motzkin limit
+    # every LP here has two or more free variables, so it runs the simplex
     simplex_calls = []
     simplex = ratlp._phase_one_simplex
 
@@ -479,15 +481,68 @@ def test_tournament_check_above_fm_limit(n, d, capsys, monkeypatch):
         assert json.loads(capsys.readouterr().out)["acyclic"] is acyclic
         assert (checked_validity(h, SignPattern(signs)) is not None) is acyclic
     assert len(simplex_calls) == 16
-    assert min(simplex_calls) > ratlp.FM_VARIABLE_LIMIT
+    assert min(simplex_calls) >= 2
+
+
+def reference_fourier_motzkin(k, rows):
+    """A point of the rows as integers X over one denominator D > 0, x = X / D,
+    or None, by general Fourier-Motzkin elimination: the independent
+    reference the simplex's verdicts are compared against. Each step
+    eliminates the remaining variable with the fewest pos * neg
+    combinations, the first in index order on a tie."""
+    active = set(rows)
+    remaining = list(range(k))
+    stack = []
+    while remaining:
+        # eliminated variables are zero in every active row; slot k counts the rhs
+        pos, neg = [0] * (k + 1), [0] * (k + 1)
+        for r in active:
+            for j, c in enumerate(r):
+                if c:
+                    (pos if c > 0 else neg)[j] += 1
+        v = min(remaining, key=lambda j: pos[j] * neg[j])
+        pos_rows, neg_rows, zero_rows = [], [], []
+        for r in active:
+            c = r[v]
+            (pos_rows if c > 0 else neg_rows if c < 0 else zero_rows).append(r)
+        active = set(zero_rows)
+        stack.append((v, pos_rows, neg_rows))
+        for rp in pos_rows:
+            a = rp[v]
+            for rn in neg_rows:
+                e = -rn[v]
+                combo = primitive([e * p + a * n for p, n in zip(rp, rn)])
+                if any(combo[:k]):
+                    active.add(combo)
+                elif combo[k] > 0:
+                    return None
+        remaining.remove(v)
+
+    # v takes its largest lower bound if it has one, else its least upper
+    # bound, else 0. Bound num / (dv * D), dv > 0, is compared by
+    # cross-multiplying; D grows when dv does not divide num.
+    x, den = [0] * k, 1
+    for v, pos_rows, neg_rows in reversed(stack):
+        sign, best = (1 if pos_rows else -1), None
+        for row in pos_rows or neg_rows:
+            num, dv = sign * (row[k] * den - sum(map(mul, row, x))), sign * row[v]
+            if best is None or sign * (num * best[1] - best[0] * dv) > 0:
+                best = num, dv
+        if best is not None:
+            x, den = lift(x, den, v, *best)
+    return x, den
 
 
 def _via_fm_and_simplex(monkeypatch, nv, eqs, ges):
-    """The system solved with the Fourier-Motzkin limit at 12 (FM for these
-    sizes), then at 0 (simplex whenever a free variable is left)."""
-    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 12)
+    """The system solved with `reference_fourier_motzkin` in place of both
+    solvers, then with the simplex deciding every reduced system, one free
+    variable included."""
+    simplex = ratlp._phase_one_simplex
+    monkeypatch.setattr(ratlp, "_phase_one_simplex", reference_fourier_motzkin)
+    monkeypatch.setattr(ratlp, "_fourier_motzkin", lambda rows: reference_fourier_motzkin(1, rows))
     via_fm = solve_feasibility(nv, eqs, ges)
-    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 0)
+    monkeypatch.setattr(ratlp, "_phase_one_simplex", simplex)
+    monkeypatch.setattr(ratlp, "_fourier_motzkin", lambda rows: simplex(1, rows))
     return via_fm, solve_feasibility(nv, eqs, ges)
 
 
@@ -585,17 +640,94 @@ def test_phase_one_simplex_matches_its_golden():
 
 def test_fourier_motzkin_matches_its_golden():
     """(k, rows) -> (X, D) or None, recorded from the (coefficients, rhs)
-    pair-row elimination: every system `face_lattice(A(4,2))` sends to
-    Fourier-Motzkin, and systems left by seeded `_random_system`s, many with
-    tied bounds in the back-substitution. The rows' order in the active set
-    follows their hashes; tied bounds are equal rationals, so the point
-    does not depend on it."""
+    pair-row elimination: every system an earlier `face_lattice(A(4,2))`
+    sent to Fourier-Motzkin, and systems left by seeded `_random_system`s,
+    many with tied bounds in the back-substitution. The rows' order in the
+    active set follows their hashes; tied bounds are equal rationals, so the
+    point does not depend on it. `reference_fourier_motzkin` gives every
+    point, and `ratlp._fourier_motzkin` the one-variable ones."""
     golden = json.loads((Path(__file__).parent / "testdata" / "fm_golden.json").read_text())
     assert len(golden["face_lattice_A(4,2)"]) == 25
+    one_variable = 0
     for system in golden["face_lattice_A(4,2)"] + golden["random"]:
         rows = [(*coeffs, rhs) for coeffs, rhs in system["rows"]]
-        point = ratlp._fourier_motzkin(system["k"], rows)
+        point = reference_fourier_motzkin(system["k"], rows)
         assert (point and list(point)) == system["point"]
+        if system["k"] == 1:
+            point = ratlp._fourier_motzkin(rows)
+            assert (point and list(point)) == system["point"]
+            one_variable += 1
+    assert one_variable == 1
+
+
+def test_one_variable_fourier_motzkin_matches_the_reference():
+    """Seeded one-variable systems a.x >= b: lower bounds only (a > 0), upper
+    bounds only (a < 0), both, with tied bounds written as scaled rows and
+    with lower bounds above upper bounds."""
+    rng = random.Random(2027)
+    shapes = {"lower": 0, "upper": 0, "feasible": 0, "infeasible": 0, "tied": 0}
+    for _ in range(400):
+        bounds = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        bounds += rng.sample(bounds, rng.randint(0, len(bounds)))  # ties
+        rows = []
+        for num, den in bounds:
+            side, scale = rng.choice((1, -1)), rng.randint(1, 3)
+            rows.append((side * scale * den, side * scale * num))
+        rng.shuffle(rows)
+        point = ratlp._fourier_motzkin(rows)
+        assert point == reference_fourier_motzkin(1, rows)
+        if all(a > 0 for a, _ in rows):
+            shapes["lower"] += 1
+        elif all(a < 0 for a, _ in rows):
+            shapes["upper"] += 1
+        else:
+            shapes["feasible" if point else "infeasible"] += 1
+        # two different rows on one side with equal bounds b / a
+        if any(a * c > 0 and a * d == b * c and a != c for (a, b), (c, d) in combinations(rows, 2)):
+            shapes["tied"] += 1
+        if point is not None:
+            (x,), den = point
+            assert den > 0 and all(a * x >= b * den for a, b in rows)
+    assert min(shapes.values()) >= 20, shapes
+
+
+# 10 variables, 3 equalities and 11 inequalities, 7 free variables: a
+# `_random_system`-style draw (coefficients from (0, 0, 0, -1, 1, -2, 2, 3),
+# scaled copies only) on which general Fourier-Motzkin, with no redundancy
+# rule, ran for more than 5 s.
+BLOWUP_EQS = [
+    (0, 0, 3, 1, 0, 0, 3, 0, -2, -1, -11),
+    (2, 0, 0, 0, 0, 0, -1, 0, 2, 0, 8),
+    (0, 0, 2, 0, -2, 1, -1, 3, -1, 0, -6),
+]
+BLOWUP_GES = [
+    (3, 0, 0, 2, 3, 2, 0, 3, 0, 3, -1),
+    (-1, -2, 0, 1, -1, 1, -2, -2, 1, -1, 0),
+    (1, -1, 0, -1, 3, -2, 0, -2, 1, 0, 14),
+    (0, 0, -1, -1, 0, 0, 1, -1, 2, 0, 3),
+    (2, 2, -1, -1, 3, 0, 1, 0, 0, -1, 9),
+    (0, 2, 0, 0, -2, -2, -2, 0, 2, 2, -2),
+    (1, 0, 3, -1, -2, 0, 3, 3, 1, -2, -4),
+    (0, 1, -1, -1, 0, -1, 3, -1, -2, 0, -5),
+    (3, 2, 0, -1, 0, 0, 2, 3, 1, 0, 2),
+    (0, 0, -1, -1, 0, 0, 1, -1, 2, 0, 3),
+    (0, 2, 0, 0, -2, -2, -2, 0, 2, 2, -2),
+]
+
+
+def test_seven_free_variables_solve_within_a_time_budget():
+    def out_of_time(signum, frame):
+        raise TimeoutError("solve_feasibility took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        point = solve_feasibility(10, BLOWUP_EQS, BLOWUP_GES)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert point is not None
+    _assert_solves(point, 10, BLOWUP_EQS, BLOWUP_GES)
 
 
 def random_3_uniform(seed, n=6, edges=7):
@@ -799,7 +931,8 @@ def test_witnesses_are_sums_of_facet_kernel_vectors(h, monkeypatch):
     witnesses of the facets its pattern refines; so neither depends on the
     path that solves the facet LPs."""
     lattice = face_lattice(h)
-    monkeypatch.setattr(ratlp, "FM_VARIABLE_LIMIT", 0)
+    simplex = ratlp._phase_one_simplex
+    monkeypatch.setattr(ratlp, "_fourier_motzkin", lambda rows: simplex(1, rows))
     assert [f.witness for f in face_lattice(h)] == [f.witness for f in lattice]
     support, restricted, _ = faces._support_rows(h)
     fs = lattice.facets()
