@@ -53,12 +53,13 @@ DEFAULT_SUBSET_BUDGET = 2_000_000
 # Slots of `_forest_nodes`'s subtree table, the one table of the census,
 # `ehrhart` and `volume`. A(6,2)'s full DFS in `_frontier_order` carries
 # 200812 times into only 3077 distinct states with candidates left (7868 in
-# the order of its edges). 1024 slots cut its carries to 29708 for the
-# Ehrhart sum, 23841 for the volume and 26957 for the census (98604 without
-# a table), at tracemalloc peaks of about 0.45, 0.44 and 0.74 MB; keeping
-# every state would leave about 16000 carries for the Ehrhart sum, but a
-# table must stay bounded on any input.
-COUNT_SLOTS = 1024
+# the order of its edges). 2**14 slots cut its carries to 16582 for the
+# Ehrhart sum, 13002 for the volume and 17140 for the census (98604 without
+# a table, 26957 at 1024 slots), at tracemalloc peaks of about 0.34, 0.33
+# and 0.30 MB, as the stored keys and items share their equal values. Of
+# 2**12 to 2**16 slots, 2**14 is the smallest within 2% of the least census
+# workload time; a table must stay bounded on any input.
+COUNT_SLOTS = 1 << 14
 REPLAY_ITEMS = 32  # the most items a slot stores to replay
 
 Shard = tuple[int, int]  # (index, total)
@@ -184,10 +185,19 @@ def _forest_nodes(
     REPLAY_ITEMS items, their edges after its own; a later equal child adds
     the one and replays the other after its own edges (Haggard, Pearce and
     Royle, *Computing Tutte polynomials*, 2010, cache a result per distinct
-    minor the same way).
+    minor the same way). The slot is picked once, on lookup, and kept in the
+    frame.
+
+    The stored entries hold few distinct values: on A(6,2) the 17516
+    candidate pairs of the keys take 594. So on storing, each key pair and
+    replay item is replaced by the first equal one stored, through the dict
+    `shared` (hash-consing: Filliatre and Conchon, *Type-safe modular
+    hash-consing*, 2006). Once `shared` holds more objects than the table
+    has slots it is cleared, which only ends sharing with what is stored.
     """
     b = pack_width(cols)
     table = [None] * COUNT_SLOTS
+    shared = {}  # the first stored object equal to each key pair and replay item
     units = () if counts is None else (1, -1)  # the pivots that are counted
     w = len(cols) + 2  # a digit per size holds up to 2**len(cols) sets (`pack`)
     total = 0  # the counted sets, packed by size
@@ -205,13 +215,16 @@ def _forest_nodes(
             if i > len(live) - (need or 1):
                 if not stack:
                     break
-                live, i, pivot, need, key, mark, entered = stack.pop()
+                live, i, pivot, need, key, slot, mark, entered = stack.pop()
                 if base + len(trail) - mark > REPLAY_ITEMS:  # as have the nodes above: drop them
                     base, trail = base + len(trail), []
                 elif key is not None:
-                    depth, items = len(chosen), trail[mark - base :]
-                    items = items and [(e[depth:], p) for e, p in items]
-                    table[hash(key) % len(table)] = (key, items, total - entered >> w * depth)
+                    if len(shared) > len(table):
+                        shared.clear()
+                    depth = len(chosen)
+                    items = tuple([shared.setdefault(t := (e[depth:], p), t) for e, p in trail[mark - base :]])
+                    key = (*key[:2], *[shared.setdefault(c, c) for c in key[2:]])
+                    table[slot] = (key, items, total - entered >> w * depth)
                 chosen.pop()
                 continue
             j, x = live[i]
@@ -228,10 +241,11 @@ def _forest_nodes(
             rest = carry(live[i:], x, pivot, pv, b)
             if not rest or len(rest) < need - 1:
                 continue
-            key = None
+            key = slot = None
             if need != 2 and len(rest) > 1:
                 key = (need and need - 1, pv, *rest)
-                entry = table[hash(key) % len(table)]
+                slot = hash(key) % len(table)
+                entry = table[slot]
                 if entry is not None and entry[0] == key:
                     total += entry[2] << w * (len(chosen) + 1)
                     if entry[1]:
@@ -239,7 +253,7 @@ def _forest_nodes(
                         yield from trail[len(trail) - len(entry[1]) :]
                     continue
             chosen.append(j)
-            stack.append((live, i, pivot, need, key, base + len(trail), total))
+            stack.append((live, i, pivot, need, key, slot, base + len(trail), total))
             live, i, pivot, need = rest, 0, pv, need and need - 1
     if counts is not None:
         for k, c in enumerate(unpack(total, w, len(counts))):
