@@ -509,7 +509,7 @@ def dual_columns(h):
     return [res.right_transform.row(e)[m:] for e in range(len(cols))]
 
 
-@pytest.mark.parametrize("slots", [1, 2, census.COUNT_SLOTS])
+@pytest.mark.parametrize("slots", [1, 2, 1024, census.COUNT_SLOTS])
 @pytest.mark.parametrize("name", [*STREAM_INPUTS, "depth-twins"])
 def test_exact_size_counter_matches_the_stream(name, slots, monkeypatch):
     if name == "depth-twins":
@@ -699,7 +699,7 @@ def counted_ehrhart(h, monkeypatch, shard=None):
     return coefficients, calls
 
 
-@pytest.mark.parametrize("slots", [1, 2, census.COUNT_SLOTS])
+@pytest.mark.parametrize("slots", [1, 2, 1024, census.COUNT_SLOTS])
 @pytest.mark.parametrize("name", COUNTER_INPUTS)
 def test_ehrhart_counter_matches_the_stream(name, slots, monkeypatch):
     h = COUNTER_INPUTS[name]
