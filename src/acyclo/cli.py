@@ -318,8 +318,6 @@ def _kalai_census(args, h, report) -> int:
 
 def _duality_check(args, h, report) -> int:
     n, d = args.complete
-    if n < d + 3:
-        raise HypergraphParseError(f"duality-check requires n >= d+3 (n={n}, d={d})")
     v1, v2 = census.duality_volume_check(n, d, **_budget_kwargs(args))
     dual_d = n - d - 2
     report["pair"] = [[n, d], [n, dual_d]]

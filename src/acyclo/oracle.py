@@ -5,8 +5,8 @@ one used in the main modules: tree counts by Laplacian determinant (for
 graphs, and by the simplicial matrix-tree theorem for hypergraphs), lattice
 points by direct membership scanning, Ehrhart coefficients by interpolation,
 vertices by exhaustive proper-pattern scanning and by Zaslavsky's region
-count, and torsion by an alternating extended-gcd elimination that shares no
-code with the Smith-form routine.
+count, and torsion by two passes of an extended-gcd echelon form that shares
+no code with the Smith-form routine.
 """
 
 from __future__ import annotations
@@ -94,18 +94,12 @@ def _row_expressions(cols, ambient: int, widths) -> tuple[list[int], list[list[F
     expressions: list[list[Fraction]] = [[]] * ambient
     for r in sorted(range(ambient), key=lambda r: (widths[r], r)):
         unit = [Fraction(int(q == r)) for q in range(ambient)]
-        v = [Fraction(c[r]) for c in cols] + unit
-        for pc, row in basis:
-            if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
-        pc = next((j for j in range(len(cols)) if v[j]), None)
-        if pc is None:
-            expressions[r] = [-x for x in v[len(cols):]]
-        else:
-            basis.append((pc, [x / v[pc] for x in v]))
+        v = _reduce_into(basis, [Fraction(c[r]) for c in cols] + unit, len(cols))
+        if any(v[: len(cols)]):
             picked.append(r)
             expressions[r] = unit
+        else:
+            expressions[r] = [-x for x in v[len(cols):]]
     return picked, [[e[q] for q in picked] for e in expressions]
 
 
@@ -196,7 +190,7 @@ def ehrhart_fit_check(
     scan.
     """
     basis: list = []
-    rank = sum(_push_independent(basis, [Fraction(x) for x in c]) for c in _generator_columns(h, cap))
+    rank = sum(any(_reduce_into(basis, [Fraction(x) for x in c])) for c in _generator_columns(h, cap))
     points = [(t, lattice_points_direct(h, t, cap=cap)) for t in range(rank + 1, 0, -1)]
     fitted = _interpolate(points, rank)
     while len(fitted) > 1 and fitted[-1] == 0:
@@ -239,24 +233,25 @@ def _region_total(cols: list[list[Fraction]], basis: list, k: int) -> int:
     a closure, which would be a reference cycle."""
     if k == len(cols):
         return 1
-    if not _push_independent(basis, cols[k]):
+    if not any(_reduce_into(basis, cols[k])):
         return 0
     with_k = _region_total(cols, basis, k + 1)
     basis.pop()
     return with_k + _region_total(cols, basis, k + 1)
 
 
-def _push_independent(basis: list[tuple[int, list[Fraction]]], v: list[Fraction]) -> bool:
-    """Add v's remainder modulo the basis, as (pivot, row scaled to 1 there), unless it is zero."""
+def _reduce_into(basis: list, v: list[Fraction], width: int | None = None) -> list[Fraction]:
+    """v's remainder modulo the basis, whose rows are (pivot, row scaled to 1
+    there). The remainder joins the basis unless its first `width` entries
+    (all by default) are zero."""
     for p, row in basis:
         if v[p]:
             f = v[p]
             v = [a - f * b for a, b in zip(v, row)]
-    p = next((i for i, x in enumerate(v) if x), None)
-    if p is None:
-        return False
-    basis.append((p, [x / v[p] for x in v]))
-    return True
+    p = next((i for i, x in enumerate(v[:width]) if x), None)
+    if p is not None:
+        basis.append((p, [x / v[p] for x in v]))
+    return v
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -273,77 +268,38 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def torsion_rowreduce(sel: SubcomplexSelection) -> int:
-    """Torsion order by alternating extended-gcd column/row reduction.
+def _xgcd_echelon(rows: list[Sequence[int]]) -> list[Sequence[int]]:
+    """The nonzero rows of an echelon form of the integer rows, made in the
+    list by clearing each column below its pivot row with unimodular 2x2
+    extended-gcd steps."""
+    top = 0
+    for j in range(len(rows[0]) if rows else 0):
+        for i in range(top + 1, len(rows)):
+            if rows[i][j]:
+                g, x, y = _xgcd(rows[top][j], rows[i][j])
+                a, c = rows[top][j] // g, rows[i][j] // g
+                rows[top], rows[i] = (
+                    [x * p + y * q for p, q in zip(rows[top], rows[i])],
+                    [a * q - c * p for p, q in zip(rows[top], rows[i])],
+                )
+        if top < len(rows) and rows[top][j]:
+            top += 1
+    return rows[:top]
 
-    Column passes clear each pivot row, row passes clear each pivot column,
-    repeating until a diagonal emerges; a final gcd sweep enforces the
-    divisibility chain. Independent of the Smith-form implementation.
+
+def torsion_rowreduce(sel: SubcomplexSelection) -> int:
+    """Torsion order by two extended-gcd echelon passes, sharing no code with
+    the Smith-form routine.
+
+    The torsion order is the product of the nonzero invariant factors of the
+    restricted boundary matrix B, that is the gcd of its r x r minors, r its
+    rank. Unimodular row or column operations keep that gcd (Kannan and
+    Bachem, 1979). The first pass echelons the columns of B, taken as rows:
+    r independent columns that span the same lattice. The second echelons
+    the rows of that ambient x r matrix into an r x r triangle, whose one
+    r x r minor is the product of its diagonal.
     """
     b = boundary_matrix(sel.parent)
-    ambient = b.rows
-    k = len(sel.chosen_edges)
-    m = [[b.at(r, j) for j in sel.chosen_edges] for r in range(ambient)]
-    t = 0
-    while t < min(ambient, k):
-        pos = None
-        for j in range(t, k):
-            for i in range(t, ambient):
-                if m[i][j]:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        if pos[0] != t:
-            m[t], m[pos[0]] = m[pos[0]], m[t]
-        if pos[1] != t:
-            for row in m:
-                row[t], row[pos[1]] = row[pos[1]], row[t]
-        while True:
-            for j in range(t + 1, k):
-                if m[t][j]:
-                    a, c = m[t][t], m[t][j]
-                    if c % a == 0:
-                        q = c // a
-                        for i in range(t, ambient):
-                            m[i][j] -= q * m[i][t]
-                    else:
-                        # Full 2x2 transform; strictly shrinks the pivot.
-                        g, x, y = _xgcd(a, c)
-                        a_, c_ = a // g, c // g
-                        for i in range(t, ambient):
-                            ci, cj = m[i][t], m[i][j]
-                            m[i][t] = x * ci + y * cj
-                            m[i][j] = -c_ * ci + a_ * cj
-            for i in range(t + 1, ambient):
-                if m[i][t]:
-                    a, c = m[t][t], m[i][t]
-                    row_t, row_i = m[t], m[i]
-                    if c % a == 0:
-                        q = c // a
-                        for j in range(t, k):
-                            row_i[j] -= q * row_t[j]
-                    else:
-                        g, x, y = _xgcd(a, c)
-                        a_, c_ = a // g, c // g
-                        for j in range(t, k):
-                            rt, ri = row_t[j], row_i[j]
-                            row_t[j] = x * rt + y * ri
-                            row_i[j] = -c_ * rt + a_ * ri
-            if all(m[t][j] == 0 for j in range(t + 1, k)) and all(
-                m[i][t] == 0 for i in range(t + 1, ambient)
-            ):
-                break
-        t += 1
-    diag = [abs(m[i][i]) for i in range(min(ambient, k)) if m[i][i]]
-    for i in range(len(diag)):  # gcd sweep: order the factors into a chain
-        for j in range(i + 1, len(diag)):
-            a, c = diag[i], diag[j]
-            g = _xgcd(a, c)[0]
-            diag[i], diag[j] = g, a * c // g
-    order = 1
-    for v in diag:
-        order *= v
-    return order
+    columns = _xgcd_echelon([b.column(j) for j in sel.chosen_edges])
+    triangle = _xgcd_echelon(list(zip(*columns)))
+    return abs(prod(row[i] for i, row in enumerate(triangle)))

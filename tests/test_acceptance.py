@@ -259,7 +259,8 @@ def test_criterion_10_property_suites(capsys):
     }
     for a in lattice:
         for b in lattice:
-            if a.pattern.refines(b.pattern) != (vsets[a.pattern.values] <= vsets[b.pattern.values]):
+            inclusion = vsets[a.pattern.values] <= vsets[b.pattern.values]
+            if a.pattern.refines(b.pattern) != inclusion or lattice.contains(b, a) != inclusion:
                 ok = False
     with capsys.disabled():
         report(10, "property suites: d(d(.))=0, SNF reconstruction, torsion agreement x200, lattice coherence", ok)

@@ -10,7 +10,7 @@ import pytest
 
 from acyclo import Hypergraph, census, cli, complete_hypergraph, complexes, faces, oracle
 from acyclo.cli import main, parse_hypergraph, serialize_hypergraph
-from acyclo.errors import HypergraphParseError
+from acyclo.errors import HypergraphParseError, _count_text
 
 TESTDATA = Path(__file__).parent / "testdata"
 
@@ -140,6 +140,14 @@ def test_duality_check_cli(capsys):
     assert report["volumes"] == ["125", "125"]
     assert report["equal"] is True
     assert report["ambient_dimensions"] == ["4", "6"]
+
+
+def test_duality_check_needs_n_at_least_d_plus_3(capsys):
+    code = main(["duality-check", "--complete", "4", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n >= d+3" in captured.err
 
 
 def test_oracle_subcommand_agrees(capsys):
@@ -384,6 +392,12 @@ def test_huge_budget_bound_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "at least 10^13052 candidates" in err
+
+
+def test_count_text_at_an_exact_power_of_ten():
+    # the bit-length estimate puts 10**40 at 40 digits; the correction finds 41
+    assert _count_text(10**40) == "at least 10^40"
+    assert _count_text(10**40 - 1) == "at least 10^39"
 
 
 def test_signs_with_leading_minus(capsys):

@@ -6,7 +6,9 @@ import pytest
 from acyclo import (
     Hypergraph,
     SubcomplexSelection,
+    betti,
     complete_hypergraph,
+    cycle_space_dim,
     ehrhart,
     ehrhart_fit_check,
     enumerate_vertices,
@@ -153,6 +155,27 @@ def test_torsion_rowreduce_examples(k62, rp2_triangles):
     assert torsion_rowreduce(SubcomplexSelection(k62, ())) == 1
     rp2 = SubcomplexSelection.from_edge_sets(k62, rp2_triangles)
     assert torsion_rowreduce(rp2) == 2
+    # RP^2 on 10 of the 15 columns a hypertree of A(7,2) needs
+    k72 = complete_hypergraph(7, 2)
+    assert len(rp2_triangles) < cycle_space_dim(7, 2)
+    rp2_in_k72 = SubcomplexSelection.from_edge_sets(k72, rp2_triangles)
+    assert torsion_rowreduce(rp2_in_k72) == torsion_order(rp2_in_k72) == 2
+    # RP^2 and a dependent tetrahedron boundary on vertices 7-10
+    sphere = list(combinations(range(7, 11), 3))
+    with_sphere = SubcomplexSelection.from_edge_sets(complete_hypergraph(10, 2), [*rp2_triangles, *sphere])
+    assert betti(with_sphere, 2) == 1
+    assert torsion_rowreduce(with_sphere) == torsion_order(with_sphere) == 2
+    # two disjoint copies of RP^2, on vertices 1-6 and 7-12: the factors multiply
+    shifted = [tuple(v + 6 for v in t) for t in rp2_triangles]
+    two_rp2 = SubcomplexSelection.from_edge_sets(complete_hypergraph(12, 2), [*rp2_triangles, *shifted])
+    assert torsion_rowreduce(two_rp2) == torsion_order(two_rp2) == 4
+
+
+def test_xgcd_echelon_second_pass_reaches_the_gcd_of_minors():
+    # the column (2, 1) spans a saturated lattice: its first-pass pivot is 2,
+    # the gcd of its 1 x 1 minors is 1, which the pass on the transpose finds
+    assert oracle._xgcd_echelon([[2, 1]]) == [[2, 1]]
+    assert oracle._xgcd_echelon([[2], [1]]) == [[1]]
 
 
 def test_torsion_agreement_on_random_subsets(k62):
