@@ -31,7 +31,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable, Optional
@@ -353,13 +353,12 @@ def _faces(args, h, report) -> None:
 def _facets(args, h, report) -> None:
     lattice = faces.face_lattice(h, **_budget_kwargs(args))
     complete = len(h.edges) == comb(h.n, h.d + 1)  # edges are distinct (d+1)-subsets of 1..n
-    partition_set = _partition_facet_patterns(h) if complete else None
     entries = [
         {
             "dimension": f.dimension,
             "pattern": f.pattern.as_string(),
             "vertex_count": len(lattice.vertices_of(f)),
-            "partition_induced": f.pattern.values in partition_set if partition_set is not None else None,
+            "partition_induced": _partition_induced(h, f.pattern.values) if complete else None,
         }
         for f in lattice.facets()
     ]
@@ -449,15 +448,19 @@ def run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _partition_facet_patterns(h: Hypergraph) -> set[tuple[int, ...]]:
-    """Sign patterns of all ordered partitions of 1..n into d+1 nonempty blocks."""
-    n, d = h.n, h.d
-    out: set[tuple[int, ...]] = set()
-    for labels in product(range(d + 1), repeat=n):
-        if len(set(labels)) == d + 1:
-            blocks = [[v for v, label in enumerate(labels, 1) if label == b] for b in range(d + 1)]
-            out.add(faces.partition_pattern(n, d, blocks).values)
-    return out
+def _partition_induced(h: Hypergraph, values: tuple[int, ...]) -> bool:
+    """Whether values, a pattern on the complete h, is an ordered partition's
+    (`faces.partition_pattern`). Two vertices of different blocks share a
+    transversal edge, whose sign is nonzero, so the blocks are the classes
+    that no nonzero edge joins; an odd reordering of them negates each sign."""
+    apart = {pair for e, s in zip(h.edges, values) if s for pair in combinations(e, 2)}
+    blocks: dict[int, list[int]] = {}  # keyed by least vertex: v joins the first key not apart from it
+    for v in range(1, h.n + 1):
+        blocks.setdefault(next((u for u in blocks if (u, v) not in apart), v), []).append(v)
+    if len(blocks) != h.d + 1:
+        return False
+    pattern = faces.partition_pattern(h.n, h.d, list(blocks.values())).values
+    return values in (pattern, tuple(-s for s in pattern))
 
 
 def _parse_shard(text: str) -> tuple[int, int]:

@@ -57,7 +57,11 @@ class Hypergraph:
         return len(self.edges)
 
     def edge_position(self, edge: Iterable[int]) -> int:
-        return _edge_positions(self)[tuple(sorted(edge))]
+        key = tuple(sorted(edge))
+        try:
+            return _edge_positions(self)[key]
+        except KeyError:
+            raise ValueError(f"{key} is not an edge of the hypergraph") from None
 
 
 @lru_cache(maxsize=None)

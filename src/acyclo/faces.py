@@ -260,6 +260,8 @@ def validity_check(h: Hypergraph, sigma: SignPattern) -> Optional[tuple[int, ...
 def vertex_point(h: Hypergraph, sigma: SignPattern) -> tuple[int, ...]:
     """Lattice point of the vertex with the given proper pattern: the sum of
     the boundary columns of its positively signed edges."""
+    if len(sigma.values) != len(h.edges):
+        raise ValueError(f"pattern covers {len(sigma.values)} edges, hypergraph has {len(h.edges)}")
     cols = edge_columns(h)
     ambient = comb(h.n, h.d)
     return tuple(

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import signal
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -219,6 +221,61 @@ def test_facets_cli_partition_flags(capsys):
     assert report["count"] == "12"
     assert all(entry["partition_induced"] is True for entry in report["facets"])
     assert all(entry["vertex_count"] == "4" for entry in report["facets"])
+
+
+def _partition_patterns_by_labelling(n, d):
+    """The reference: the pattern of every ordered partition of 1..n into
+    d+1 blocks, read off all (d+1)^n vertex labellings."""
+    out = set()
+    for labels in product(range(d + 1), repeat=n):
+        if len(set(labels)) == d + 1:
+            blocks = [[v for v, label in enumerate(labels, 1) if label == b] for b in range(d + 1)]
+            out.add(faces.partition_pattern(n, d, blocks).values)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, d", [(3, 1), (4, 1), (5, 1), (6, 1), (4, 2), (5, 2), (5, 3), (6, 4), (7, 5), (7, 6)]
+)
+def test_partition_induced_matches_the_labelling_scan(n, d):
+    h = complete_hypergraph(n, d)
+    reference = _partition_patterns_by_labelling(n, d)
+    patterns = {f.pattern.values for f in faces.facets(h, budget=3 ** len(h.edges))}
+    assert reference <= patterns
+    for values in patterns:
+        assert cli._partition_induced(h, values) == (values in reference)
+    assert not cli._partition_induced(h, (0,) * len(h.edges))  # one class, fewer than d+1
+    for values in reference:  # one sign flipped keeps the d+1 classes, not always a partition's pattern
+        j = next(j for j, s in enumerate(values) if s)
+        flipped = values[:j] + (-values[j],) + values[j + 1 :]
+        assert cli._partition_induced(h, flipped) == (flipped in reference)
+
+
+def test_facets_of_a52_beyond_the_partitions(capsys):
+    code, out = run_cli(["facets", "--complete", "5", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    flags = [entry["partition_induced"] for entry in report["facets"]]
+    assert report["count"] == "74"
+    assert (flags.count(True), flags.count(False)) == (50, 24)
+
+
+def test_facets_of_a97_within_a_time_budget(capsys):
+    """A (d+1)^n scan over the vertex labellings took 100 s on one Xeon core."""
+    def out_of_time(signum, frame):
+        raise TimeoutError("facets --complete 9 7 took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out = run_cli(["facets", "--complete", "9", "7"], capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == "72"
+    assert all(entry["partition_induced"] is True for entry in report["facets"])
 
 
 def test_vertices_shard_cli(capsys):

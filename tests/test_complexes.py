@@ -12,6 +12,8 @@ from acyclo import (
     rank,
 )
 from acyclo.complexes import simplex_index
+from acyclo.faces import SignPattern
+from acyclo.homology import SubcomplexSelection
 
 
 def test_hypergraph_validation():
@@ -53,6 +55,15 @@ def test_hypergraph_edges_must_be_a_tuple():
 def test_from_edges_canonicalizes():
     h = Hypergraph.from_edges(4, 2, [[3, 1, 2], [2, 4, 3]])
     assert h.edges == ((1, 2, 3), (2, 3, 4))
+
+
+def test_edge_position_names_a_non_edge():
+    h = Hypergraph(4, 1, ((1, 2),))
+    assert h.edge_position((2, 1)) == 0
+    with pytest.raises(ValueError, match=r"\(3, 4\) is not an edge"):
+        SignPattern((1,)).value_on(h, (4, 3))
+    with pytest.raises(ValueError, match=r"\(3, 4\) is not an edge"):
+        SubcomplexSelection.from_edge_sets(h, [(1, 2), (3, 4)])
 
 
 def test_single_edge_column_d2():

@@ -91,6 +91,12 @@ def test_vertices_k34(k34):
         assert point == vertex_point(k34, p)
 
 
+@pytest.mark.parametrize("length", [1, 5])
+def test_vertex_point_rejects_a_pattern_of_the_wrong_length(k34, length):
+    with pytest.raises(ValueError, match=f"pattern covers {length} edges, hypergraph has 4"):
+        vertex_point(k34, SignPattern((1,) * length))
+
+
 def test_vertices_permutohedra():
     for n in (2, 3, 4):
         h = complete_hypergraph(n, 1)
